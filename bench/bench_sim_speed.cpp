@@ -71,9 +71,9 @@ BENCHMARK(BM_TimingAllTechniques)->Unit(benchmark::kMillisecond);
 /**
  * The same timing run with event tracing and interval sampling live:
  * the delta against BM_TimingAllTechniques is the cost of *enabled*
- * observability (the ISSUE's acceptance number is about tracing
- * compiled in but disabled, which is BM_TimingAllTechniques itself —
- * every hook is there, branching on a null tracer).  The counting sink
+ * observability (tracing compiled in but disabled is
+ * BM_TimingAllTechniques itself — every hook is there, branching on a
+ * null obs::Probe).  The counting sink
  * discards bytes so the measurement excludes disk speed;
  * trace_mb_per_run is the trace volume one run generates.
  */

@@ -40,6 +40,7 @@
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/mshr.hh"
+#include "obs/probe.hh"
 #include "stats/stats.hh"
 
 namespace cpe::core {
@@ -143,16 +144,11 @@ class DCacheUnit
     mem::MshrFile &mshrs() { return mshrs_; }
 
     /**
-     * Attach the event tracer to the whole port subsystem (ports,
-     * store buffer, line buffers, MSHRs, L1D tags).  Null detaches.
+     * Attach the observability probe to the whole port subsystem
+     * (ports, store buffer, line buffers, MSHRs, L1D tags).  Null
+     * detaches.
      */
-    void setTracer(obs::Tracer *tracer);
-
-    /**
-     * Attach the attribution profiler to the whole port subsystem and
-     * size its per-set counters to this L1D.  Null detaches.
-     */
-    void setProfiler(obs::Profiler *profiler);
+    void setProbe(obs::Probe *probe);
 
     stats::StatGroup &statGroup() { return statGroup_; }
 
@@ -235,8 +231,7 @@ class DCacheUnit
     std::vector<Cycle> bankBusyUntil_;
     /** Victim-cache FIFO: line address + dirty bit. */
     std::deque<std::pair<Addr, bool>> victims_;
-    obs::Tracer *tracer_ = nullptr;
-    obs::Profiler *profiler_ = nullptr;
+    obs::Probe *probe_ = nullptr;
     stats::StatGroup statGroup_;
 };
 

@@ -63,25 +63,20 @@ LineBufferFile::lookup(Addr addr, unsigned size)
     ++lookups;
     Addr line_addr = alignDown(addr, lineBytes_);
     Buffer *buffer = find(line_addr);
-    if (!buffer) {
-        if (profiler_)
-            profiler_->onLbLookup(false);
-        return false;
+    bool hit = false;
+    if (buffer) {
+        unsigned offset = static_cast<unsigned>(addr - line_addr);
+        CPE_ASSERT(offset + size <= lineBytes_, "load crosses a line");
+        std::uint64_t want = mask(size) << offset;
+        hit = (buffer->byteMask & want) == want;
     }
-    unsigned offset = static_cast<unsigned>(addr - line_addr);
-    CPE_ASSERT(offset + size <= lineBytes_, "load crosses a line");
-    std::uint64_t want = mask(size) << offset;
-    if ((buffer->byteMask & want) != want) {
-        if (profiler_)
-            profiler_->onLbLookup(false);
+    if (probe_)
+        probe_->emitNow(hit ? obs::EventKind::LbHit : obs::EventKind::LbMiss,
+                        line_addr);
+    if (!hit)
         return false;
-    }
     buffer->lastUse = ++useClock_;
     ++hits;
-    if (tracer_)
-        tracer_->recordNow(obs::EventKind::LbHit, line_addr);
-    if (profiler_)
-        profiler_->onLbLookup(true);
     return true;
 }
 
@@ -111,10 +106,9 @@ LineBufferFile::capture(Addr addr, unsigned width,
         }
         if (victim->valid) {
             ++replacements;
-            if (tracer_)
-                tracer_->recordNow(obs::EventKind::LbEvict,
-                                   victim->lineAddr,
-                                   obs::LbEvictReplaced);
+            if (probe_)
+                probe_->emitNow(obs::EventKind::LbEvict,
+                                victim->lineAddr, obs::LbEvictReplaced);
         }
         victim->valid = true;
         victim->lineAddr = line_addr;
@@ -124,9 +118,9 @@ LineBufferFile::capture(Addr addr, unsigned width,
     buffer->byteMask |= new_bytes;
     buffer->lastUse = ++useClock_;
     ++captures;
-    if (tracer_)
-        tracer_->recordNow(obs::EventKind::LbFill, line_addr,
-                           popCount(new_bytes));
+    if (probe_)
+        probe_->emitNow(obs::EventKind::LbFill, line_addr,
+                        popCount(new_bytes));
 }
 
 void
@@ -142,9 +136,9 @@ LineBufferFile::onStore(Addr addr, unsigned size)
         buffer->valid = false;
         buffer->byteMask = 0;
         ++storeInvals;
-        if (tracer_)
-            tracer_->recordNow(obs::EventKind::LbEvict, line_addr,
-                               obs::LbEvictStore);
+        if (probe_)
+            probe_->emitNow(obs::EventKind::LbEvict, line_addr,
+                            obs::LbEvictStore);
         return;
     }
     unsigned offset = static_cast<unsigned>(addr - line_addr);
@@ -159,9 +153,9 @@ LineBufferFile::invalidateLine(Addr line_addr)
         buffer->valid = false;
         buffer->byteMask = 0;
         ++lineInvals;
-        if (tracer_)
-            tracer_->recordNow(obs::EventKind::LbEvict, line_addr,
-                               obs::LbEvictLineInval);
+        if (probe_)
+            probe_->emitNow(obs::EventKind::LbEvict, line_addr,
+                            obs::LbEvictLineInval);
     }
 }
 
@@ -171,9 +165,9 @@ LineBufferFile::flushAll()
     if (!enabled())
         return;
     for (auto &buffer : buffers_) {
-        if (buffer.valid && tracer_)
-            tracer_->recordNow(obs::EventKind::LbEvict, buffer.lineAddr,
-                               obs::LbEvictFlush);
+        if (buffer.valid && probe_)
+            probe_->emitNow(obs::EventKind::LbEvict, buffer.lineAddr,
+                            obs::LbEvictFlush);
         buffer.valid = false;
         buffer.byteMask = 0;
     }

@@ -79,16 +79,17 @@ StoreBuffer::insert(Addr addr, unsigned size, Cycle now)
             entry->byteMask |= rangeMask(offset, size);
             ++combines;
             ++inserts;
-            if (tracer_)
-                tracer_->record(now, obs::EventKind::SbMerge, line_addr,
-                                size);
+            if (probe_)
+                probe_->emit(now, obs::EventKind::SbMerge, line_addr,
+                             size);
             return true;
         }
     }
     if (full()) {
         ++fullRejects;
-        if (profiler_)
-            profiler_->onSbFullStall();
+        if (probe_)
+            probe_->emit(now, obs::EventKind::AccessStall, 0,
+                         obs::StallSbFull);
         return false;
     }
     Entry entry;
@@ -97,8 +98,8 @@ StoreBuffer::insert(Addr addr, unsigned size, Cycle now)
     entry.allocCycle = now;
     fifo_.push_back(entry);
     ++inserts;
-    if (tracer_)
-        tracer_->record(now, obs::EventKind::SbInsert, line_addr, size);
+    if (probe_)
+        probe_->emit(now, obs::EventKind::SbInsert, line_addr, size);
     return true;
 }
 
@@ -211,9 +212,9 @@ StoreBuffer::drainOne(unsigned port_width, Cycle now)
         fifo_.erase(fifo_.begin() +
                     static_cast<std::deque<Entry>::difference_type>(pick));
     }
-    if (tracer_)
-        tracer_->record(now, obs::EventKind::SbDrain, op.lineAddr,
-                        popCount(op.validMask), op.entryFinished);
+    if (probe_)
+        probe_->emit(now, obs::EventKind::SbDrain, op.lineAddr,
+                     popCount(op.validMask), op.entryFinished);
     return op;
 }
 
@@ -238,16 +239,14 @@ StoreBuffer::restore(const DrainOp &op, Cycle now)
 {
     // Merge back into the (oldest) surviving entry for the line, or
     // re-create one at the FIFO front to preserve age order.
-    if (Entry *entry = find(op.lineAddr)) {
-        entry->byteMask |= op.validMask;
-        if (tracer_)
-            tracer_->record(now, obs::EventKind::SbRestore, op.lineAddr,
-                            popCount(op.validMask), 0);
+    Entry *survivor = find(op.lineAddr);
+    if (probe_)
+        probe_->emit(now, obs::EventKind::SbRestore, op.lineAddr,
+                     popCount(op.validMask), survivor == nullptr);
+    if (survivor) {
+        survivor->byteMask |= op.validMask;
         return;
     }
-    if (tracer_)
-        tracer_->record(now, obs::EventKind::SbRestore, op.lineAddr,
-                        popCount(op.validMask), 1);
     Entry entry;
     entry.lineAddr = op.lineAddr;
     entry.byteMask = op.validMask;

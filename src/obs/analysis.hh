@@ -9,7 +9,7 @@
  *     sweeps interleave runs in one file, each line tagged "r");
  *   - validateRun(): the structural invariants any correct trace must
  *     satisfy, as a lint returning human-readable violations — the
- *     same properties tests/test_obs_invariants.cc locks down in-tree;
+ *     oracle tests/test_obs_invariants.cc runs over real traced runs;
  *   - summarizeRun(): headline numbers and a stall-cause breakdown;
  *   - hotReport(): top-N PCs (or cache lines) by attributed stalls;
  *   - heatmapCsv(): per-L1D-set conflict traffic as CSV.

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
+#include "util/bits.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 namespace cpe::obs {
@@ -27,57 +30,54 @@ pcLabel(Addr pc)
     return buf;
 }
 
+/** Every per-PC counter with its profile-document name. */
+constexpr std::pair<const char *, std::uint64_t PcCounters::*> kFields[] = {
+    {"loads", &PcCounters::loads},
+    {"sb_fwd", &PcCounters::sbFwd},
+    {"lb_served", &PcCounters::lbServed},
+    {"cache_hits", &PcCounters::cacheHits},
+    {"misses", &PcCounters::misses},
+    {"miss_merged", &PcCounters::missMerged},
+    {"stores", &PcCounters::stores},
+    {"lb_lookups", &PcCounters::lbLookups},
+    {"lb_hits", &PcCounters::lbHits},
+    {"port_grants", &PcCounters::portGrants},
+    {"port_conflicts", &PcCounters::portConflicts},
+    {"sb_full_stalls", &PcCounters::sbFullStalls},
+    {"mshr_waits", &PcCounters::mshrWaits},
+    {"partial_stalls", &PcCounters::partialStalls},
+    {"commit_stall_head", &PcCounters::commitStallHead},
+    {"commit_stall_store", &PcCounters::commitStallStore},
+    {"mshr_allocs", &PcCounters::mshrAllocs},
+};
+
 void
 accumulate(PcCounters &into, const PcCounters &from)
 {
-    into.loads += from.loads;
-    into.sbFwd += from.sbFwd;
-    into.lbServed += from.lbServed;
-    into.cacheHits += from.cacheHits;
-    into.misses += from.misses;
-    into.missMerged += from.missMerged;
-    into.stores += from.stores;
-    into.lbLookups += from.lbLookups;
-    into.lbHits += from.lbHits;
-    into.portGrants += from.portGrants;
-    into.portConflicts += from.portConflicts;
-    into.sbFullStalls += from.sbFullStalls;
-    into.mshrWaits += from.mshrWaits;
-    into.partialStalls += from.partialStalls;
-    into.commitStallHead += from.commitStallHead;
-    into.commitStallStore += from.commitStallStore;
-    into.mshrAllocs += from.mshrAllocs;
+    for (const auto &[name, field] : kFields)
+        into.*field += from.*field;
 }
 
 /** Append one bucket's counters to @p out (zero members omitted). */
 void
 emitCounters(Json &out, const PcCounters &counters, bool keep_zero)
 {
-    auto put = [&out, keep_zero](const char *name, std::uint64_t value) {
-        if (value || keep_zero)
-            out[name] = value;
-    };
-    put("loads", counters.loads);
-    put("sb_fwd", counters.sbFwd);
-    put("lb_served", counters.lbServed);
-    put("cache_hits", counters.cacheHits);
-    put("misses", counters.misses);
-    put("miss_merged", counters.missMerged);
-    put("stores", counters.stores);
-    put("lb_lookups", counters.lbLookups);
-    put("lb_hits", counters.lbHits);
-    put("port_grants", counters.portGrants);
-    put("port_conflicts", counters.portConflicts);
-    put("sb_full_stalls", counters.sbFullStalls);
-    put("mshr_waits", counters.mshrWaits);
-    put("partial_stalls", counters.partialStalls);
-    put("commit_stall_head", counters.commitStallHead);
-    put("commit_stall_store", counters.commitStallStore);
-    put("mshr_allocs", counters.mshrAllocs);
+    for (const auto &[name, field] : kFields)
+        if (counters.*field || keep_zero)
+            out[name] = counters.*field;
     out["stall_cycles"] = counters.stallCycles();
 }
 
 } // namespace
+
+void
+Profiler::initSets(unsigned sets, unsigned line_bytes)
+{
+    CPE_ASSERT(isPowerOf2(sets) && isPowerOf2(line_bytes),
+               "profiled L1D geometry must be powers of two");
+    sets_.assign(sets, SetCounters{});
+    lineShift_ = floorLog2(line_bytes);
+}
 
 void
 Profiler::reset()
@@ -87,7 +87,8 @@ Profiler::reset()
     std::fill(sets_.begin(), sets_.end(), SetCounters{});
     robEmptyCycles_ = 0;
     // The memoized bucket pointer may dangle after clear(): re-resolve.
-    cur_ = contextPc_ ? &pcs_[contextPc_] : &none_;
+    lastPc_ = 0;
+    cur_ = &none_;
 }
 
 PcCounters
@@ -98,15 +99,6 @@ Profiler::totals() const
     for (const auto &[pc, counters] : pcs_)
         accumulate(sum, counters);
     return sum;
-}
-
-const PcCounters *
-Profiler::counters(Addr pc) const
-{
-    if (!pc)
-        return &none_;
-    auto it = pcs_.find(pc);
-    return it == pcs_.end() ? nullptr : &it->second;
 }
 
 Json

@@ -6,19 +6,17 @@
  * commit stalls by cause) plus per-cache-set access/miss/eviction
  * counters.
  *
- * Same contract as obs::Tracer: components carry an `obs::Profiler *`
- * that is null unless profiling was requested, every hook is one
- * branch on that pointer, and hooks only *read* model state — a
+ * The Profiler is a consumer of the obs::Probe seam: model
+ * components never see it.  When the run arms a profile, the probe
+ * hands it every event, and count() turns each into per-PC and
+ * per-set counter updates.  Hooks only *read* model state, so a
  * profiled run produces byte-identical results (locked down by
  * tests/test_obs_profile.cc, which also asserts that the per-PC sums
  * equal the aggregate StatGroup totals exactly).
  *
- * Attribution works through a *context PC*: the D-cache unit (and the
- * commit stage) set the PC of the instruction being handled before
- * touching the memory subsystem and clear it afterwards, so hooks deep
- * inside the port arbiter or line buffers never need to know which
- * instruction drove them.  Context PC 0 is the machine itself —
- * store-buffer drains, fills, prefetches — and gets its own bucket.
+ * Each event carries the PC it is attributed to (obs::Probe's context
+ * PC).  PC 0 is the machine itself — store-buffer drains, fills,
+ * prefetches — and gets its own bucket.
  */
 
 #ifndef CPE_OBS_PROFILER_HH
@@ -28,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/probe.hh"
 #include "util/json.hh"
 #include "util/types.hh"
 
@@ -96,66 +95,15 @@ class Profiler
     Profiler(const Profiler &) = delete;
     Profiler &operator=(const Profiler &) = delete;
 
-    /** Size the per-set counters (the owning D-cache unit's L1D). */
-    void
-    initSets(unsigned sets)
-    {
-        sets_.assign(sets, SetCounters{});
-    }
-
     /**
-     * Switch the attribution context to @p pc (0 = machine-initiated
-     * work).  Cheap when the PC repeats: the resolved bucket is
-     * memoized.
+     * Size the per-set counters to the profiled L1D: @p sets sets of
+     * @p line_bytes lines, indexed by line address modulo sets (as
+     * mem::Cache does).
      */
-    void
-    setContext(Addr pc)
-    {
-        if (pc == contextPc_)
-            return;
-        contextPc_ = pc;
-        cur_ = pc ? &pcs_[pc] : &none_;
-    }
+    void initSets(unsigned sets, unsigned line_bytes);
 
-    Addr contextPc() const { return contextPc_; }
-
-    // --- hooks (call through a null-checked Profiler pointer) ---
-
-    void onLoadForwarded() { ++cur_->loads; ++cur_->sbFwd; }
-    void onLoadLineBuffer() { ++cur_->loads; ++cur_->lbServed; }
-    void onLoadCacheHit() { ++cur_->loads; ++cur_->cacheHits; }
-    void onLoadMiss() { ++cur_->loads; ++cur_->misses; }
-    void onLoadMissMerged() { ++cur_->loads; ++cur_->missMerged; }
-    void onStore() { ++cur_->stores; }
-
-    void
-    onLbLookup(bool hit)
-    {
-        ++cur_->lbLookups;
-        if (hit)
-            ++cur_->lbHits;
-    }
-
-    void onPortGrant() { ++cur_->portGrants; }
-    void onPortConflict() { ++cur_->portConflicts; }
-    void onSbFullStall() { ++cur_->sbFullStalls; }
-    void onMshrWait() { ++cur_->mshrWaits; }
-    void onPartialStall() { ++cur_->partialStalls; }
-    void onMshrAlloc() { ++cur_->mshrAllocs; }
-    void onCommitStallHead() { ++cur_->commitStallHead; }
-    void onCommitStallStore() { ++cur_->commitStallStore; }
-    void onRobEmpty() { ++robEmptyCycles_; }
-
-    void
-    onSetAccess(std::size_t set, bool hit)
-    {
-        SetCounters &counters = sets_[set];
-        ++counters.accesses;
-        if (!hit)
-            ++counters.misses;
-    }
-
-    void onSetEviction(std::size_t set) { ++sets_[set].evictions; }
+    /** Count one event into its PC's bucket or its L1D set. */
+    void count(const Event &event);
 
     /**
      * Zero every counter (the warm-up boundary, mirroring
@@ -169,13 +117,6 @@ class Profiler
     /** Aggregate of every bucket (equals the StatGroup totals). */
     PcCounters totals() const;
 
-    std::uint64_t robEmptyCycles() const { return robEmptyCycles_; }
-
-    /** The bucket for @p pc, or nullptr (tests; pc 0 = the machine). */
-    const PcCounters *counters(Addr pc) const;
-
-    const std::vector<SetCounters> &setCounters() const { return sets_; }
-
     /**
      * The profile document embedded in JSON results: {"top": N,
      * "totals": {...}, "pcs": [top-N buckets by stall cycles],
@@ -185,13 +126,74 @@ class Profiler
     Json toJson(unsigned top_n) const;
 
   private:
-    Addr contextPc_ = 0;
+    /** The L1D set @p addr maps to. */
+    SetCounters &
+    setOf(Addr addr)
+    {
+        return sets_[(addr >> lineShift_) & (sets_.size() - 1)];
+    }
+
+    Addr lastPc_ = 0;           ///< PC of the memoized bucket
     PcCounters none_;           ///< bucket for PC 0 (machine-initiated)
-    PcCounters *cur_ = &none_;  ///< memoized current bucket
+    PcCounters *cur_ = &none_;  ///< memoized bucket of lastPc_
     std::unordered_map<Addr, PcCounters> pcs_;
     std::vector<SetCounters> sets_;
+    unsigned lineShift_ = 0;
     std::uint64_t robEmptyCycles_ = 0;
 };
+
+// Inline: the probe calls this once per event of a profiled run.
+inline void
+Profiler::count(const Event &event)
+{
+    if (event.pc != lastPc_) {
+        lastPc_ = event.pc;
+        cur_ = event.pc ? &pcs_[event.pc] : &none_;
+    }
+    PcCounters &pc = *cur_;
+    switch (event.kind) {
+      case EventKind::PortGrant: ++pc.portGrants; break;
+      case EventKind::PortConflict: ++pc.portConflicts; break;
+      case EventKind::LbHit: ++pc.lbLookups; ++pc.lbHits; break;
+      case EventKind::LbMiss: ++pc.lbLookups; break;
+      case EventKind::MshrAlloc: ++pc.mshrAllocs; break;
+      case EventKind::Store: ++pc.stores; break;
+      case EventKind::CacheEvict: ++setOf(event.addr).evictions; break;
+      case EventKind::SetAccess: {
+        SetCounters &set = setOf(event.addr);
+        ++set.accesses;
+        if (!event.a)
+            ++set.misses;
+        break;
+      }
+      case EventKind::CommitStall:
+        switch (event.a) {
+          case StallRobEmpty: ++robEmptyCycles_; break;
+          case StallHeadIncomplete: ++pc.commitStallHead; break;
+          case StallStoreReject: ++pc.commitStallStore; break;
+        }
+        break;
+      case EventKind::Load:
+        ++pc.loads;
+        switch (event.a) {
+          case LoadForwarded: ++pc.sbFwd; break;
+          case LoadLineBuffer: ++pc.lbServed; break;
+          case LoadCacheHit: ++pc.cacheHits; break;
+          case LoadMiss: ++pc.misses; break;
+          case LoadMissMerged: ++pc.missMerged; break;
+        }
+        break;
+      case EventKind::AccessStall:
+        switch (event.a) {
+          case StallSbFull: ++pc.sbFullStalls; break;
+          case StallMshrFull: ++pc.mshrWaits; break;
+          case StallPartial: ++pc.partialStalls; break;
+        }
+        break;
+      default:
+        break;
+    }
+}
 
 /**
  * Render a profile document (Profiler::toJson output) as the top-N

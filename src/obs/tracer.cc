@@ -29,6 +29,7 @@ eventKindName(EventKind kind)
       case EventKind::Fill: return "fill";
       case EventKind::Commit: return "commit";
       case EventKind::CommitStall: return "commit_stall";
+      default: break;
     }
     return "?";
 }
@@ -113,6 +114,13 @@ Tracer::flush()
     // Zero-valued payload fields are omitted (documented defaults).
     scratch_.clear();
     char buf[160];
+    auto put = [this, &buf](const char *name, std::uint64_t value) {
+        if (!value)
+            return;
+        int len = std::snprintf(buf, sizeof(buf), ",\"%s\":%" PRIu64,
+                                name, value);
+        scratch_.append(buf, static_cast<std::size_t>(len));
+    };
     for (const Event &ev : ring_) {
         int len = std::snprintf(buf, sizeof(buf),
                                 "{\"t\":\"ev\",\"r\":%" PRIu64
@@ -121,26 +129,10 @@ Tracer::flush()
                                 runId_, ev.seq, ev.cycle,
                                 eventKindName(ev.kind));
         scratch_.append(buf, static_cast<std::size_t>(len));
-        if (ev.pc) {
-            len = std::snprintf(buf, sizeof(buf), ",\"pc\":%" PRIu64,
-                                ev.pc);
-            scratch_.append(buf, static_cast<std::size_t>(len));
-        }
-        if (ev.addr) {
-            len = std::snprintf(buf, sizeof(buf), ",\"addr\":%" PRIu64,
-                                ev.addr);
-            scratch_.append(buf, static_cast<std::size_t>(len));
-        }
-        if (ev.a) {
-            len = std::snprintf(buf, sizeof(buf), ",\"a\":%" PRIu64,
-                                ev.a);
-            scratch_.append(buf, static_cast<std::size_t>(len));
-        }
-        if (ev.b) {
-            len = std::snprintf(buf, sizeof(buf), ",\"b\":%" PRIu64,
-                                ev.b);
-            scratch_.append(buf, static_cast<std::size_t>(len));
-        }
+        put("pc", ev.pc);
+        put("addr", ev.addr);
+        put("a", ev.a);
+        put("b", ev.b);
         scratch_.append("}\n");
     }
     // A failing sink must not kill the run: the simulation's numbers

@@ -2,12 +2,11 @@
  * @file
  * Cycle-level observability: a low-overhead structured event tracer.
  *
- * Components carry an `obs::Tracer *` that is null for measurement
- * runs; every hook is one branch on that pointer, so tracing compiled
- * in but disabled costs nothing measurable and — because hooks only
- * *read* simulator state — cannot perturb results.  When a TraceSink
- * is attached, events accumulate in a ring and flush to the sink in
- * batches as JSONL (one JSON object per line).
+ * The Tracer is a consumer of the obs::Probe seam: model components
+ * never see it.  When the run arms a trace, the probe hands it every
+ * event whose kind is in the trace schema (isTraced()); events
+ * accumulate in a ring and flush to the TraceSink in batches as JSONL
+ * (one JSON object per line).
  *
  * Trace-file schema (see docs/observability.md for the full story):
  *
@@ -32,60 +31,15 @@
 #include <string>
 #include <vector>
 
+#include "obs/probe.hh"
 #include "util/json.hh"
 #include "util/types.hh"
 
 namespace cpe::obs {
 
-/** What happened.  Names in the trace come from eventKindName(). */
-enum class EventKind : std::uint8_t {
-    PortGrant,     ///< port booked;            a = cycles occupied
-    PortConflict,  ///< acquisition refused: every port busy
-    SbInsert,      ///< new store-buffer entry; addr = line, a = bytes
-    SbMerge,       ///< store combined;         addr = line, a = bytes
-    SbDrain,       ///< one drain port access;  a = bytes, b = entry freed
-    SbRestore,     ///< refused drain undone;   b = entry re-created
-    LbFill,        ///< window captured;        addr = line, a = new bytes
-    LbHit,         ///< load served by buffer;  addr = line
-    LbEvict,       ///< buffer dropped;         addr = line, a = cause
-    MshrAlloc,     ///< fill started;           addr = line, a = write,
-                   ///<                         b = prefetch
-    MshrRetire,    ///< fill data arrived;      addr = line
-    CacheEvict,    ///< L1D line displaced;     addr = line, a = dirty
-    Fill,          ///< line installed in L1D;  addr = line
-    Commit,        ///< instructions committed; a = count this cycle
-    CommitStall,   ///< commit made no progress; a = cause
-};
-
-/** LbEvict causes (the "a" payload). */
-enum : std::uint64_t {
-    LbEvictReplaced = 1,   ///< LRU displacement by a capture
-    LbEvictLineInval = 2,  ///< backing L1 line evicted
-    LbEvictStore = 3,      ///< invalidated by a store (policy)
-    LbEvictFlush = 4,      ///< full-file flush (mode switch)
-};
-
-/** CommitStall causes (the "a" payload). */
-enum : std::uint64_t {
-    StallRobEmpty = 0,     ///< window empty (frontend bound)
-    StallHeadIncomplete = 1, ///< head not done executing
-    StallStoreReject = 2,  ///< D-cache refused the head store
-};
-
-/** @return the stable trace-file name of @p kind (e.g. "sb_insert"). */
+/** @return the stable trace-file name of @p kind (e.g. "sb_insert");
+ *  "?" for the profile-only kinds. */
 const char *eventKindName(EventKind kind);
-
-/** One recorded event; payload meaning depends on the kind. */
-struct Event
-{
-    std::uint64_t seq = 0;  ///< 0-based position in this run's stream
-    Cycle cycle = 0;
-    EventKind kind = EventKind::Commit;
-    Addr pc = 0;  ///< static PC of the instruction in flight, 0 if none
-    Addr addr = 0;
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-};
 
 /**
  * Destination for trace bytes.  write() must append the whole block
@@ -183,46 +137,19 @@ class Tracer
                   const std::string &config_tag, Cycle sample_cycles,
                   unsigned l1d_sets = 0, unsigned line_bytes = 0);
 
-    /** @return true when bound to a sink (hooks should record). */
+    /** @return true when bound to a sink (between beginRun and endRun). */
     bool active() const { return sink_ != nullptr; }
 
-    /** Current cycle, maintained by the owning core (advanceTo). */
-    Cycle now() const { return now_; }
-
-    /** The owning core ticks this once per cycle while active. */
-    void advanceTo(Cycle now) { now_ = now; }
-
-    /**
-     * Set the static PC attributed to subsequently recorded events.
-     * The D-cache unit scopes this around each load/store it handles;
-     * 0 (the idle default) marks machine-initiated work such as drains
-     * and fills.
-     */
-    void setPc(Addr pc) { pc_ = pc; }
-
-    /** The PC currently attributed (0 = none). */
-    Addr contextPc() const { return pc_; }
-
-    /** Record one event (no-op unless active). */
+    /** Append @p event, numbering it (no-op unless active). */
     void
-    record(Cycle cycle, EventKind kind, Addr addr = 0,
-           std::uint64_t a = 0, std::uint64_t b = 0)
+    record(Event event)
     {
         if (!sink_)
             return;
-        ring_.push_back(Event{eventsRecorded_, cycle, kind, pc_, addr,
-                              a, b});
-        ++eventsRecorded_;
+        event.seq = eventsRecorded_++;
+        ring_.push_back(event);
         if (ring_.size() >= RingEvents)
             flush();
-    }
-
-    /** record() at the tracked current cycle (for hooks without one). */
-    void
-    recordNow(EventKind kind, Addr addr = 0, std::uint64_t a = 0,
-              std::uint64_t b = 0)
-    {
-        record(now_, kind, addr, a, b);
     }
 
     /**
@@ -240,9 +167,6 @@ class Tracer
     void endRun(Cycle cycles, std::uint64_t insts, double ipc,
                 const Json &final_stats);
 
-    /** Events recorded so far this run. */
-    std::uint64_t eventsRecorded() const { return eventsRecorded_; }
-
     /**
      * Events recorded but never written: a sink write failure discards
      * the in-flight batch (the run keeps going, the trace degrades).
@@ -259,8 +183,6 @@ class Tracer
 
     TraceSink *sink_ = nullptr;
     std::uint64_t runId_ = 0;
-    Cycle now_ = 0;
-    Addr pc_ = 0;
     std::uint64_t eventsRecorded_ = 0;
     std::uint64_t eventsDropped_ = 0;
     std::vector<Event> ring_;

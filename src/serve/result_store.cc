@@ -1,11 +1,8 @@
 #include "serve/result_store.hh"
 
-#include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -13,6 +10,7 @@
 #include "func/trace_file.hh"
 #include "sim/config_file.hh"
 #include "sim/run_journal.hh"
+#include "util/durable.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
@@ -40,27 +38,6 @@ hex64(std::uint64_t value)
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(value));
     return buf;
-}
-
-/**
- * Flush @p path (or its directory entry table) to stable storage;
- * throws IoError so insert treats an unsyncable entry exactly like an
- * unwritable one.
- */
-void
-fsyncPath(const std::string &path, bool directory)
-{
-    int fd = ::open(path.c_str(),
-                    directory ? (O_RDONLY | O_DIRECTORY) : O_RDONLY);
-    if (fd < 0)
-        throw IoError("cannot open '" + path +
-                      "' for fsync: " + std::strerror(errno));
-    int rc = ::fsync(fd);
-    int saved = errno;
-    ::close(fd);
-    if (rc != 0)
-        throw IoError("fsync failed on '" + path +
-                      "': " + std::strerror(saved));
 }
 
 std::string

@@ -178,7 +178,7 @@ void
 PhaseEngine::enterMeasure(Cycle now)
 {
     if (firstMeasure_) {
-        // The old warm-up-complete order: core statistics + profiler,
+        // The old warm-up-complete order: core statistics + profile,
         // then the shared memory-hierarchy statistics.
         core_.beginMeasurement(now);
         hierarchy_.statGroup().resetAll();

@@ -61,21 +61,27 @@ Simulator::run()
     PhaseEngine engine(plan, core, stitched, hierarchy,
                        config_.sample.confidence);
 
-    // Observability (all off by default).  The tracer, sampler, and
-    // profiler are stack-local: they only observe, so their lifetime
-    // ends with the run and the machine never owns them.
+    // Observability (all off by default).  The probe, its consumers
+    // and the sampler are stack-local: they only observe, so their
+    // lifetime ends with the run and the machine never owns them.  The
+    // core sees the probe only when a consumer is armed.
     obs::Tracer tracer;
     obs::Profiler profiler;
+    obs::Probe probe;
     stats::IntervalSampler sampler(config_.obs.sampleCycles);
+    const mem::CacheParams &l1d = config_.core.dcache.cache;
     if (config_.obs.traceSink) {
         tracer.beginRun(config_.obs.traceSink, config_.workloadName,
                         config_.tag(), config_.obs.sampleCycles,
-                        config_.core.dcache.cache.sets(),
-                        config_.core.dcache.cache.lineBytes);
-        core.setTracer(&tracer);
+                        l1d.sets(), l1d.lineBytes);
+        probe.armTrace(&tracer);
     }
-    if (config_.obs.profileTop)
-        core.setProfiler(&profiler);
+    if (config_.obs.profileTop) {
+        profiler.initSets(l1d.sets(), l1d.lineBytes);
+        probe.armProfile(&profiler);
+    }
+    if (probe.armed())
+        core.setProbe(&probe);
     if (sampled) {
         // Phase-mode timeseries: one record per measurement interval,
         // closed by the engine (the per-cycle tick is inert).
@@ -88,7 +94,7 @@ Simulator::run()
         sampler.attach(core.statGroup());
         sampler.attach(hierarchy.statGroup());
         if (tracer.active())
-            sampler.setTracer(&tracer);
+            sampler.setProbe(&probe);
         sampler.start(0);
         core.setSampler(&sampler);
     }

@@ -1,12 +1,9 @@
 #include "sim/trace_cache.hh"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <system_error>
@@ -14,6 +11,7 @@
 #include "func/executor.hh"
 #include "func/trace_file.hh"
 #include "obs/metrics.hh"
+#include "util/durable.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
@@ -68,27 +66,6 @@ cacheMetrics()
         return m;
     }();
     return metrics;
-}
-
-/**
- * Flush @p path (a file or, with @p directory, the directory entry
- * table) to stable storage; throws IoError so spill code treats an
- * unsyncable entry exactly like an unwritable one.
- */
-void
-fsyncPath(const std::string &path, bool directory)
-{
-    int fd = ::open(path.c_str(),
-                    directory ? (O_RDONLY | O_DIRECTORY) : O_RDONLY);
-    if (fd < 0)
-        throw IoError("cannot open '" + path +
-                      "' for fsync: " + std::strerror(errno));
-    int rc = ::fsync(fd);
-    int saved = errno;
-    ::close(fd);
-    if (rc != 0)
-        throw IoError("fsync failed on '" + path +
-                      "': " + std::strerror(saved));
 }
 
 /** FNV-1a 64-bit, for stable spill file names. */

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "obs/tracer.hh"
+#include "obs/probe.hh"
 #include "util/logging.hh"
 
 namespace cpe::stats {
@@ -138,8 +138,8 @@ IntervalSampler::sample(Cycle now)
     record["stats"] = std::move(stats);
     record["dists"] = std::move(dists);
 
-    if (tracer_)
-        tracer_->emitInterval(record);
+    if (probe_)
+        probe_->interval(record);
     records_.push_back(std::move(record));
 
     intervalStart_ = now;

@@ -31,7 +31,7 @@
 #include "util/types.hh"
 
 namespace cpe::obs {
-class Tracer;
+class Probe;
 }
 
 namespace cpe::stats {
@@ -113,8 +113,9 @@ class IntervalSampler
      */
     void finalize(Cycle now);
 
-    /** Also emit each record into @p tracer as an "interval" line. */
-    void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
+    /** Also route each record through @p probe (a trace "interval"
+     *  line when the run is traced). */
+    void setProbe(obs::Probe *probe) { probe_ = probe; }
 
     std::size_t intervalCount() const { return records_.size(); }
     const std::vector<Json> &records() const { return records_; }
@@ -159,7 +160,7 @@ class IntervalSampler
     std::vector<ScalarRef> scalars_;
     std::vector<DistRef> dists_;
     std::vector<Json> records_;
-    obs::Tracer *tracer_ = nullptr;
+    obs::Probe *probe_ = nullptr;
 };
 
 } // namespace cpe::stats

@@ -70,7 +70,9 @@ runGoldenTrace()
     tracer.beginRun(&sink, "obs_golden", "single-port+techniques", 0,
                     params.dcache.cache.sets(),
                     params.dcache.cache.lineBytes);
-    core.setTracer(&tracer);
+    obs::Probe probe;
+    probe.armTrace(&tracer);
+    core.setProbe(&probe);
     Cycle cycles = core.run();
     tracer.endRun(cycles, core.committedInsts(), core.ipc(),
                   Json::object());

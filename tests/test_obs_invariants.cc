@@ -5,31 +5,29 @@
  * store-buffer insert/drain lifetimes, line-buffer hits only between a
  * fill and an evict, balanced MSHR allocate/retire, contiguous interval
  * records whose per-stat deltas sum exactly to the run_end totals.
+ *
+ * obs::validateRun() is the one oracle for those invariants (the same
+ * lint `cpe_trace validate` runs); each case here traces a real run,
+ * asserts the lint finds nothing, and checks that the run exercised
+ * the mechanism the invariant is about.  tests/test_trace_analysis.cc
+ * proves every check fires on a trace that breaks it.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
-#include "obs/tracer.hh"
+#include "obs/analysis.hh"
 #include "sim/simulator.hh"
 #include "util/json.hh"
 
 namespace cpe::sim {
 namespace {
 
-struct ParsedTrace
-{
-    Json runBegin;
-    Json runEnd;
-    std::vector<Json> events;     ///< "ev" lines, in file order
-    std::vector<Json> intervals;  ///< "interval" lines, in file order
-};
-
-ParsedTrace
+/** Trace one run of @p workload and parse it for the analyzer. */
+obs::TraceRun
 traceWorkload(const std::string &workload, Cycle sample_cycles)
 {
     obs::StringTraceSink sink;
@@ -41,138 +39,71 @@ traceWorkload(const std::string &workload, Cycle sample_cycles)
     config.obs.sampleCycles = sample_cycles;
     simulate(config);
 
-    ParsedTrace trace;
-    std::istringstream lines(sink.text());
-    std::string line;
-    bool first = true;
-    while (std::getline(lines, line)) {
-        Json parsed = Json::parse(line, "trace line");
-        const std::string &type = parsed.at("t").asString();
-        if (first) {
-            EXPECT_EQ(type, "run_begin");
-            first = false;
-        }
-        if (type == "run_begin")
-            trace.runBegin = parsed;
-        else if (type == "run_end")
-            trace.runEnd = parsed;
-        else if (type == "ev")
-            trace.events.push_back(std::move(parsed));
-        else if (type == "interval")
-            trace.intervals.push_back(std::move(parsed));
-        else
-            ADD_FAILURE() << "unknown line type: " << line;
-    }
-    EXPECT_FALSE(trace.runEnd.isNull()) << "no run_end line";
-    return trace;
+    std::istringstream in(sink.text());
+    obs::TraceFile file = obs::parseTrace(in, workload + " trace");
+    EXPECT_EQ(file.runs.size(), 1u);
+    return file.runs.empty() ? obs::TraceRun{} : file.runs.front();
+}
+
+/** validateRun()'s complaints, one per line ("" = clean). */
+std::string
+problemsOf(const obs::TraceRun &run)
+{
+    std::string all;
+    for (const std::string &problem : obs::validateRun(run))
+        all += problem + "\n";
+    return all;
 }
 
 std::uint64_t
-field(const Json &event, const std::string &name)
+countKind(const obs::TraceRun &run, obs::EventKind kind)
 {
-    const Json *value = event.find(name);
+    std::uint64_t count = 0;
+    for (const obs::TraceEvent &event : run.events)
+        count += event.knownKind && event.kind == kind;
+    return count;
+}
+
+std::uint64_t
+field(const Json &record, const std::string &name)
+{
+    const Json *value = record.find(name);
     return value ? static_cast<std::uint64_t>(value->asNumber()) : 0;
 }
 
 TEST(ObsInvariants, CyclesAreMonotoneAndKindsKnown)
 {
-    ParsedTrace trace = traceWorkload("copy", 0);
-    ASSERT_FALSE(trace.events.empty());
-
-    const std::set<std::string> known = {
-        "port_grant", "port_conflict", "sb_insert", "sb_merge",
-        "sb_drain", "sb_restore", "lb_fill", "lb_hit", "lb_evict",
-        "mshr_alloc", "mshr_retire", "cache_evict", "fill", "commit",
-        "commit_stall"};
-
-    Cycle last = 0;
-    for (const Json &event : trace.events) {
-        const std::string &kind = event.at("k").asString();
-        EXPECT_TRUE(known.count(kind)) << kind;
-        Cycle cycle = field(event, "c");
-        EXPECT_GE(cycle, last) << kind;
-        last = cycle;
-    }
-    EXPECT_EQ(field(trace.runEnd, "events"), trace.events.size());
+    obs::TraceRun run = traceWorkload("copy", 0);
+    ASSERT_FALSE(run.events.empty());
+    EXPECT_EQ(problemsOf(run), "");
 }
 
 TEST(ObsInvariants, StoreBufferLifetimesBalance)
 {
-    ParsedTrace trace = traceWorkload("copy", 0);
-    std::uint64_t inserts = 0;
-    std::uint64_t recreates = 0;       // sb_restore with b=1
-    std::uint64_t finishing_drains = 0;  // sb_drain with b=1
-    for (const Json &event : trace.events) {
-        const std::string &kind = event.at("k").asString();
-        if (kind == "sb_insert")
-            ++inserts;
-        else if (kind == "sb_restore" && field(event, "b"))
-            ++recreates;
-        else if (kind == "sb_drain" && field(event, "b"))
-            ++finishing_drains;
-    }
-    EXPECT_GT(inserts, 0u);
-    // drainAll empties the buffer before run_end, so every entry ever
-    // created (inserted, or re-created by a refused drain) was freed
-    // by exactly one entry-finishing drain.
-    EXPECT_EQ(inserts + recreates, finishing_drains);
+    obs::TraceRun run = traceWorkload("copy", 0);
+    EXPECT_EQ(problemsOf(run), "");
+    EXPECT_GT(countKind(run, obs::EventKind::SbInsert), 0u);
 }
 
 TEST(ObsInvariants, LineBufferHitsOnlyBetweenFillAndEvict)
 {
-    ParsedTrace trace = traceWorkload("copy", 0);
-    std::set<std::uint64_t> active;
-    std::uint64_t hits = 0;
-    for (const Json &event : trace.events) {
-        const std::string &kind = event.at("k").asString();
-        std::uint64_t addr = field(event, "addr");
-        if (kind == "lb_fill") {
-            active.insert(addr);
-        } else if (kind == "lb_hit") {
-            EXPECT_TRUE(active.count(addr))
-                << "hit on inactive line " << addr;
-            ++hits;
-        } else if (kind == "lb_evict") {
-            EXPECT_TRUE(active.count(addr))
-                << "evict of inactive line " << addr;
-            active.erase(addr);
-        }
-    }
-    EXPECT_GT(hits, 0u);
+    obs::TraceRun run = traceWorkload("copy", 0);
+    EXPECT_EQ(problemsOf(run), "");
+    EXPECT_GT(countKind(run, obs::EventKind::LbHit), 0u);
 }
 
 TEST(ObsInvariants, MshrAllocRetireBalance)
 {
-    ParsedTrace trace = traceWorkload("copy", 0);
-    std::multiset<std::uint64_t> outstanding;
-    std::uint64_t allocs = 0;
-    for (const Json &event : trace.events) {
-        const std::string &kind = event.at("k").asString();
-        std::uint64_t addr = field(event, "addr");
-        if (kind == "mshr_alloc") {
-            // One MSHR per line: a second allocation for a line still
-            // in flight would be a simulator bug.
-            EXPECT_FALSE(outstanding.count(addr)) << addr;
-            outstanding.insert(addr);
-            ++allocs;
-        } else if (kind == "mshr_retire") {
-            ASSERT_TRUE(outstanding.count(addr)) << addr;
-            outstanding.erase(outstanding.find(addr));
-        }
-    }
-    EXPECT_GT(allocs, 0u);
-    // drainAll waits for every outstanding fill.
-    EXPECT_TRUE(outstanding.empty());
+    obs::TraceRun run = traceWorkload("copy", 0);
+    EXPECT_EQ(problemsOf(run), "");
+    EXPECT_GT(countKind(run, obs::EventKind::MshrAlloc), 0u);
 }
 
 TEST(ObsInvariants, CommitEventsSumToCommittedInsts)
 {
-    ParsedTrace trace = traceWorkload("copy", 0);
-    std::uint64_t committed = 0;
-    for (const Json &event : trace.events)
-        if (event.at("k").asString() == "commit")
-            committed += field(event, "a");
-    EXPECT_EQ(committed, field(trace.runEnd, "insts"));
+    obs::TraceRun run = traceWorkload("copy", 0);
+    EXPECT_EQ(problemsOf(run), "");
+    EXPECT_GT(field(run.end, "insts"), 0u);
 }
 
 // The tentpole acceptance property: with warm-up off, the per-interval
@@ -180,45 +111,22 @@ TEST(ObsInvariants, CommitEventsSumToCommittedInsts)
 // StatGroup values as recorded in run_end.
 TEST(ObsInvariants, IntervalStatsSumToFinalTotals)
 {
-    ParsedTrace trace = traceWorkload("crc", 1000);
-    ASSERT_GT(trace.intervals.size(), 1u);
-
-    std::map<std::string, double> sums;
-    for (const Json &interval : trace.intervals)
-        for (const auto &[name, delta] :
-             interval.at("stats").members())
-            sums[name] += delta.asNumber();
-
-    const Json &finals = trace.runEnd.at("stats");
-    for (const auto &[name, value] : finals.members())
-        EXPECT_EQ(sums[name], value.asNumber()) << name;
-    for (const auto &[name, sum] : sums)
-        EXPECT_TRUE(finals.find(name)) << name << " summed to " << sum
-                                       << " but is absent from run_end";
+    obs::TraceRun run = traceWorkload("crc", 1000);
+    ASSERT_GT(run.intervals.size(), 1u);
+    EXPECT_EQ(problemsOf(run), "");
 }
 
 TEST(ObsInvariants, IntervalRecordsAreContiguous)
 {
-    ParsedTrace trace = traceWorkload("crc", 1000);
-    ASSERT_FALSE(trace.intervals.empty());
-
-    std::uint64_t expected_seq = 0;
-    std::uint64_t expected_start = 0;
-    for (const Json &interval : trace.intervals) {
-        EXPECT_EQ(field(interval, "seq"), expected_seq);
-        EXPECT_EQ(field(interval, "start"), expected_start);
-        std::uint64_t end = field(interval, "end");
-        EXPECT_EQ(field(interval, "cycles"),
-                  end - field(interval, "start"));
-        expected_start = end;
-        ++expected_seq;
-    }
-    // finalize() closes the last interval at the true end of the run
-    // (after the post-HALT drain), so the timeline covers every cycle.
-    EXPECT_EQ(expected_start, field(trace.runEnd, "cycles"));
+    obs::TraceRun run = traceWorkload("crc", 1000);
+    ASSERT_FALSE(run.intervals.empty());
+    // Contiguity includes the tail: finalize() closes the last
+    // interval at the true end of the run (after the post-HALT drain),
+    // so the timeline covers every cycle.
+    EXPECT_EQ(problemsOf(run), "");
 
     // Derived metrics exist and are sane on every record.
-    for (const Json &interval : trace.intervals) {
+    for (const Json &interval : run.intervals) {
         double ipc = interval.at("ipc").asNumber();
         EXPECT_GE(ipc, 0.0);
         double util = interval.at("port_util").asNumber();

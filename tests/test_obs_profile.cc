@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <map>
+#include <sstream>
 #include <string>
 
+#include "obs/analysis.hh"
 #include "obs/profiler.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep_runner.hh"
@@ -176,6 +179,81 @@ TEST(ObsProfile, WarmupResetKeepsAttributionAligned)
     SimResult result = simulate(config);
     EXPECT_LT(result.insts, simulate(profiledConfig("copy")).insts);
     expectTotalsMatchStats(result, "copy+warmup");
+}
+
+// The two consumers of one probe must tell the same story: with the
+// trace and the profile armed together (warm-up off), the trace's
+// per-PC port_grant / port_conflict / commit_stall counts equal the
+// profile's per-PC counters.
+TEST(ObsProfile, TraceAndProfileAgreePerPc)
+{
+    struct Counts
+    {
+        std::uint64_t grants = 0, conflicts = 0, head = 0, store = 0;
+        bool operator==(const Counts &) const = default;
+    };
+    // Two machines, so every compared counter sees traffic (only the
+    // unbuffered base refuses stores at commit).
+    Counts total;
+    for (auto tech : {core::PortTechConfig::singlePortBase(),
+                      core::PortTechConfig::singlePortAllTechniques()}) {
+        obs::StringTraceSink sink;
+        SimConfig config = profiledConfig("copy");
+        config.core.dcache.tech = tech;
+        config.obs.traceSink = &sink;
+        SimResult result = simulate(config);
+        std::string what = config.tag();
+
+        std::map<Addr, Counts> traced;
+        std::istringstream in(sink.text());
+        obs::TraceFile file = obs::parseTrace(in, what);
+        ASSERT_EQ(file.runs.size(), 1u) << what;
+        for (const obs::TraceEvent &event : file.runs.front().events) {
+            Counts &counts = traced[event.pc];
+            if (event.kind == obs::EventKind::PortGrant)
+                ++counts.grants;
+            else if (event.kind == obs::EventKind::PortConflict)
+                ++counts.conflicts;
+            else if (event.kind == obs::EventKind::CommitStall &&
+                     event.a == obs::StallHeadIncomplete)
+                ++counts.head;
+            else if (event.kind == obs::EventKind::CommitStall &&
+                     event.a == obs::StallStoreReject)
+                ++counts.store;
+        }
+        std::erase_if(traced, [](const auto &entry) {
+            return entry.second == Counts{};
+        });
+
+        std::map<Addr, Counts> profiled;
+        Json profile = Json::parse(result.profileJson, "profile json");
+        for (const Json &entry : profile.at("pcs", what).items()) {
+            Counts counts{num(entry, "port_grants"),
+                          num(entry, "port_conflicts"),
+                          num(entry, "commit_stall_head"),
+                          num(entry, "commit_stall_store")};
+            total.grants += counts.grants;
+            total.conflicts += counts.conflicts;
+            total.head += counts.head;
+            total.store += counts.store;
+            if (counts != Counts{})
+                profiled[num(entry, "pc")] = counts;
+        }
+        ASSERT_EQ(traced.size(), profiled.size()) << what;
+        for (const auto &[pc, counts] : traced) {
+            auto it = profiled.find(pc);
+            ASSERT_NE(it, profiled.end()) << what << " pc " << pc;
+            EXPECT_EQ(counts.grants, it->second.grants) << what << pc;
+            EXPECT_EQ(counts.conflicts, it->second.conflicts) << what << pc;
+            EXPECT_EQ(counts.head, it->second.head) << what << pc;
+            EXPECT_EQ(counts.store, it->second.store) << what << pc;
+        }
+    }
+    // Non-vacuity: every compared counter saw traffic.
+    EXPECT_GT(total.grants, 0u);
+    EXPECT_GT(total.conflicts, 0u);
+    EXPECT_GT(total.head, 0u);
+    EXPECT_GT(total.store, 0u);
 }
 
 TEST(ObsProfile, ProfilingDoesNotPerturbResults)

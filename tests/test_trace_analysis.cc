@@ -197,6 +197,132 @@ TEST(TraceAnalysis, TruncatedTraceIsFlaggedNotTrusted)
     EXPECT_NE(problems.find("run_end"), std::string::npos) << problems;
 }
 
+/**
+ * A small hand-written run that satisfies every invariant: one
+ * store-buffer entry inserted and drained, one line-buffer fill and
+ * hit, one MSHR round trip, three commits over two intervals.  The
+ * cases below each break one invariant and expect its complaint.
+ */
+TraceRun
+cleanSyntheticRun()
+{
+    TraceFile file = parseText(
+        "{\"t\":\"run_begin\",\"r\":0,\"workload\":\"x\","
+        "\"config\":\"y\"}\n"
+        "{\"t\":\"ev\",\"r\":0,\"s\":0,\"c\":1,\"k\":\"sb_insert\","
+        "\"addr\":64,\"a\":8}\n"
+        "{\"t\":\"ev\",\"r\":0,\"s\":1,\"c\":2,\"k\":\"lb_fill\","
+        "\"addr\":128,\"a\":8}\n"
+        "{\"t\":\"ev\",\"r\":0,\"s\":2,\"c\":3,\"k\":\"lb_hit\","
+        "\"addr\":128}\n"
+        "{\"t\":\"ev\",\"r\":0,\"s\":3,\"c\":3,\"k\":\"mshr_alloc\","
+        "\"addr\":192}\n"
+        "{\"t\":\"ev\",\"r\":0,\"s\":4,\"c\":4,\"k\":\"commit\","
+        "\"a\":2}\n"
+        "{\"t\":\"ev\",\"r\":0,\"s\":5,\"c\":5,\"k\":\"sb_drain\","
+        "\"addr\":64,\"a\":8,\"b\":1}\n"
+        "{\"t\":\"ev\",\"r\":0,\"s\":6,\"c\":9,\"k\":\"mshr_retire\","
+        "\"addr\":192}\n"
+        "{\"t\":\"ev\",\"r\":0,\"s\":7,\"c\":9,\"k\":\"commit\","
+        "\"a\":1}\n"
+        "{\"t\":\"interval\",\"r\":0,\"seq\":0,\"start\":0,\"end\":5,"
+        "\"cycles\":5,\"stats\":{\"core.committed\":2}}\n"
+        "{\"t\":\"interval\",\"r\":0,\"seq\":1,\"start\":5,\"end\":10,"
+        "\"cycles\":5,\"stats\":{\"core.committed\":1}}\n"
+        "{\"t\":\"run_end\",\"r\":0,\"cycles\":10,\"insts\":3,"
+        "\"events\":8,\"dropped\":0,"
+        "\"stats\":{\"core.committed\":3}}\n");
+    return file.runs.front();
+}
+
+/** Re-number the stream after inserting or erasing events, so only
+ *  the invariant under test is broken. */
+void
+renumber(TraceRun &run)
+{
+    for (std::size_t i = 0; i < run.events.size(); ++i)
+        run.events[i].seq = i;
+    run.end["events"] = static_cast<std::uint64_t>(run.events.size());
+}
+
+/** Assert validateRun() reports exactly one problem, containing
+ *  @p complaint. */
+void
+expectSoleComplaint(const TraceRun &run, const std::string &complaint)
+{
+    std::vector<std::string> problems = validateRun(run);
+    ASSERT_EQ(problems.size(), 1u) << joined(problems);
+    EXPECT_NE(problems.front().find(complaint), std::string::npos)
+        << problems.front();
+}
+
+TEST(TraceAnalysis, SyntheticRunValidatesClean)
+{
+    std::vector<std::string> problems = validateRun(cleanSyntheticRun());
+    EXPECT_TRUE(problems.empty()) << joined(problems);
+}
+
+TEST(TraceAnalysis, ValidateFlagsCycleGoingBackwards)
+{
+    TraceRun run = cleanSyntheticRun();
+    run.events[7].cycle = 2;
+    expectSoleComplaint(run, "cycle went backwards at seq 7");
+}
+
+TEST(TraceAnalysis, ValidateFlagsUnbalancedStoreBuffer)
+{
+    TraceRun run = cleanSyntheticRun();
+    run.events[5].b = 0;  // the drain no longer frees the entry
+    expectSoleComplaint(run, "store-buffer lifetimes unbalanced");
+}
+
+TEST(TraceAnalysis, ValidateFlagsLineBufferHitOnInactiveLine)
+{
+    TraceRun run = cleanSyntheticRun();
+    run.events[2].addr = 256;  // never filled
+    expectSoleComplaint(run, "lb_hit on inactive line");
+}
+
+TEST(TraceAnalysis, ValidateFlagsSecondMshrAllocForInflightLine)
+{
+    TraceRun run = cleanSyntheticRun();
+    TraceEvent again = run.events[3];
+    again.cycle = 4;
+    run.events.insert(run.events.begin() + 4, again);
+    renumber(run);
+    expectSoleComplaint(run, "second mshr_alloc for in-flight line");
+}
+
+TEST(TraceAnalysis, ValidateFlagsMshrOutstandingAtRunEnd)
+{
+    TraceRun run = cleanSyntheticRun();
+    run.events.erase(run.events.begin() + 6);  // the retire
+    renumber(run);
+    expectSoleComplaint(run, "1 MSHR(s) still outstanding at run_end");
+}
+
+TEST(TraceAnalysis, ValidateFlagsCommitSumMismatch)
+{
+    TraceRun run = cleanSyntheticRun();
+    run.events[7].a = 2;
+    expectSoleComplaint(run, "commit events sum to 4");
+}
+
+TEST(TraceAnalysis, ValidateFlagsIntervalChainGap)
+{
+    TraceRun run = cleanSyntheticRun();
+    run.intervals[1]["start"] = 6;
+    run.intervals[1]["cycles"] = 4;
+    expectSoleComplaint(run, "interval 1 starts at 6, not 5");
+}
+
+TEST(TraceAnalysis, ValidateFlagsIntervalStatSumMismatch)
+{
+    TraceRun run = cleanSyntheticRun();
+    run.intervals[1]["stats"]["core.committed"] = 2;
+    expectSoleComplaint(run, "interval deltas for core.committed sum to");
+}
+
 TEST(TraceAnalysis, MalformedLinesThrow)
 {
     EXPECT_THROW(parseText("{oops\n"), IoError);
@@ -235,12 +361,14 @@ TEST(TraceAnalysis, DroppedEventsAreCountedAndFlagged)
     FlakySink sink(1);
     Tracer tracer;
     tracer.beginRun(&sink, "flaky", "cfg", 0);
-    tracer.record(1, EventKind::Commit, 0, 1);
-    tracer.record(2, EventKind::Commit, 0, 1);
-    tracer.record(3, EventKind::Commit, 0, 1);
+    Probe probe;
+    probe.armTrace(&tracer);
+    probe.emit(1, EventKind::Commit, 0, 1);
+    probe.emit(2, EventKind::Commit, 0, 1);
+    probe.emit(3, EventKind::Commit, 0, 1);
     tracer.flush();
     EXPECT_EQ(tracer.eventsDropped(), 3u);
-    tracer.record(4, EventKind::Commit, 0, 1);
+    probe.emit(4, EventKind::Commit, 0, 1);
     tracer.endRun(4, 4, 1.0, Json::object());
 
     TraceFile file = parseText(sink.text());
@@ -264,7 +392,9 @@ TEST(TraceAnalysis, CleanSinkDropsNothing)
     StringTraceSink sink;
     Tracer tracer;
     tracer.beginRun(&sink, "clean", "cfg", 0);
-    tracer.record(1, EventKind::Commit, 0, 1);
+    Probe probe;
+    probe.armTrace(&tracer);
+    probe.emit(1, EventKind::Commit, 0, 1);
     tracer.endRun(1, 1, 1.0, Json::object());
     EXPECT_EQ(tracer.eventsDropped(), 0u);
 
