@@ -46,6 +46,19 @@ struct TimingInst
      */
     SeqNum srcProducer[MaxSrcs] = {0, 0};
 
+    /** operandsReady before every producer it waits on has issued. */
+    static constexpr Cycle NotReady = ~Cycle{0};
+
+    /**
+     * The cycle from which this instruction's operands are available
+     * to issue: the latest doneCycle of the producers it waits on (the
+     * address producer alone for a store's AGU, every source
+     * otherwise).  The issue stage sets it once, when the last of
+     * those producers has issued; a producer's doneCycle is fixed at
+     * its issue, so the value never changes afterwards.
+     */
+    Cycle operandsReady = NotReady;
+
     /** Fetch compared prediction with the trace: this one was wrong. */
     bool mispredicted = false;
 
