@@ -8,7 +8,8 @@ namespace cpe::cpu {
 FetchUnit::FetchUnit(const FetchParams &params, func::TraceSource *trace,
                      BranchPredictor *bpred, mem::MemHierarchy *next_level)
     : params_(params), trace_(trace), bpred_(bpred),
-      icache_(params.icache), nextLevel_(next_level), statGroup_("fetch")
+      icache_(params.icache), nextLevel_(next_level),
+      queue_(params.queueCapacity), statGroup_("fetch")
 {
     CPE_ASSERT(trace_ && bpred_ && nextLevel_, "fetch wiring incomplete");
     statGroup_.addChild(&icache_.statGroup());
@@ -112,7 +113,7 @@ FetchUnit::tick(Cycle now)
 
     unsigned fetched = 0;
     while (fetched < params_.fetchWidth) {
-        if (queue_.size() >= params_.queueCapacity) {
+        if (queue_.full()) {
             ++queueFullBreaks;
             break;
         }

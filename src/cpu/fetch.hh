@@ -13,13 +13,13 @@
 #define CPE_CPU_FETCH_HH
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "cpu/branch_predictor.hh"
 #include "cpu/pipeline_types.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
+#include "util/ring.hh"
 
 namespace cpe::cpu {
 
@@ -54,7 +54,7 @@ class FetchUnit
     void tick(Cycle now);
 
     /** Instructions awaiting rename (rename pops from the front). */
-    std::deque<TimingInst> &queue() { return queue_; }
+    util::Ring<TimingInst> &queue() { return queue_; }
 
     /**
      * A mispredicted control instruction resolved; fetch resumes at
@@ -112,7 +112,8 @@ class FetchUnit
     mem::Cache icache_;
     mem::MemHierarchy *nextLevel_;
 
-    std::deque<TimingInst> queue_;
+    /** Bounded by queueCapacity, checked before every push. */
+    util::Ring<TimingInst> queue_;
 
     /**
      * Block-consumption buffer: the front end pulls committed-path
