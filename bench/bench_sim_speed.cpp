@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "core/dcache_unit.hh"
 #include "func/executor.hh"
 #include "obs/metrics.hh"
@@ -41,17 +43,22 @@ BM_FunctionalExecution(benchmark::State &state)
 BENCHMARK(BM_FunctionalExecution)->Unit(benchmark::kMillisecond);
 
 void
-timingRun(benchmark::State &state, const core::PortTechConfig &tech)
+timingRun(benchmark::State &state, const core::PortTechConfig &tech,
+          const std::string &workload = "crc", unsigned os_level = 0)
 {
     setVerbose(false);
     std::uint64_t insts = 0;
+    std::uint64_t cycles = 0;
     for (auto _ : state) {
-        auto result = sim::simulate("crc", tech);
+        auto result = sim::simulate(workload, tech, os_level);
         insts += result.insts;
+        cycles += result.cycles;
         benchmark::DoNotOptimize(result.cycles);
     }
     state.counters["inst_rate"] = benchmark::Counter(
         static_cast<double>(insts), benchmark::Counter::kIsRate);
+    state.counters["cycle_rate"] = benchmark::Counter(
+        static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 
 void
@@ -60,6 +67,19 @@ BM_TimingSinglePort(benchmark::State &state)
     timingRun(state, core::PortTechConfig::singlePortBase());
 }
 BENCHMARK(BM_TimingSinglePort)->Unit(benchmark::kMillisecond);
+
+/**
+ * The miss-bound regime: a pointer chase with heavy OS activity on the
+ * untreated single port.  The window mostly waits on MSHR fills, so
+ * host time goes to cycles in which little commits — the per-cycle
+ * cost BM_TimingSinglePort's compute-bound crc hides.
+ */
+void
+BM_TimingMissBound(benchmark::State &state)
+{
+    timingRun(state, core::PortTechConfig::singlePortBase(), "pchase", 2);
+}
+BENCHMARK(BM_TimingMissBound)->Unit(benchmark::kMillisecond);
 
 void
 BM_TimingAllTechniques(benchmark::State &state)

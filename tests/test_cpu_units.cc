@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the pipeline building blocks: rename map, ROB,
- * issue queue, functional-unit pool, and the fetch unit driven by a
- * recorded trace.
+ * Unit tests for the pipeline building blocks: the fixed ring behind
+ * the core's queues, rename map, ROB, issue queue, functional-unit
+ * pool, and the fetch unit driven by a recorded trace.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "cpu/rob.hh"
 #include "func/executor.hh"
 #include "prog/builder.hh"
+#include "util/ring.hh"
 
 namespace cpe::cpu {
 namespace {
@@ -28,6 +29,91 @@ makeInst(SeqNum seq, isa::Inst op)
     inst.di.inst = op;
     inst.di.cls = isa::classOf(op.op);
     return inst;
+}
+
+TEST(Ring, WrapsAroundInFifoOrder)
+{
+    util::Ring<int> ring(3);
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.capacity(), 3u);
+    int next_in = 0, next_out = 0;
+    // Keep two or three entries live while the head laps the slots
+    // several times.
+    for (int round = 0; round < 10; ++round) {
+        while (!ring.full())
+            ring.push_back(next_in++);
+        ASSERT_EQ(ring.size(), 3u);
+        EXPECT_EQ(ring.front(), next_out);
+        EXPECT_EQ(ring.back(), next_in - 1);
+        for (std::size_t i = 0; i < ring.size(); ++i)
+            EXPECT_EQ(ring[i], next_out + static_cast<int>(i));
+        ring.pop_front();
+        ++next_out;
+        if (round % 2) {
+            ring.pop_front();
+            ++next_out;
+        }
+    }
+    EXPECT_GT(next_in, 9);
+}
+
+TEST(Ring, IteratesBothDirections)
+{
+    util::Ring<int> ring(4);
+    for (int v = 0; v < 6; ++v) {
+        if (ring.full())
+            ring.pop_front();
+        ring.push_back(v);
+    }
+    // Holds 2..5, wrapped past the end of its slots.
+    std::vector<int> forward(ring.begin(), ring.end());
+    EXPECT_EQ(forward, (std::vector<int>{2, 3, 4, 5}));
+    std::vector<int> backward(ring.rbegin(), ring.rend());
+    EXPECT_EQ(backward, (std::vector<int>{5, 4, 3, 2}));
+
+    const util::Ring<int> &view = ring;
+    std::vector<int> const_forward;
+    for (int v : view)
+        const_forward.push_back(v);
+    EXPECT_EQ(const_forward, forward);
+    std::vector<int> const_backward(view.rbegin(), view.rend());
+    EXPECT_EQ(const_backward, backward);
+
+    // Writes through an iterator land in the ring.
+    for (int &v : ring)
+        v *= 10;
+    EXPECT_EQ(ring.front(), 20);
+    EXPECT_EQ(ring.back(), 50);
+}
+
+TEST(Ring, ClearEmptiesAndRestartsCleanly)
+{
+    util::Ring<int> ring(3);
+    ring.push_back(1);
+    ring.push_back(2);
+    ring.pop_front();
+    ring.push_back(3);
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.begin(), ring.end());
+    ring.push_back(7);
+    EXPECT_EQ(ring.size(), 1u);
+    EXPECT_EQ(ring.front(), 7);
+    EXPECT_EQ(ring.back(), 7);
+}
+
+TEST(Ring, PushedSlotKeepsItsAddressUntilPopped)
+{
+    util::Ring<int> ring(3);
+    int *first = &ring.push_back(1);
+    int *second = &ring.push_back(2);
+    ring.pop_front();
+    ring.push_back(3);
+    ring.push_back(4);  // reuses the popped slot
+    EXPECT_EQ(&ring[0], second);
+    EXPECT_EQ(&ring[2], first);
+    EXPECT_EQ(*second, 2);
+    EXPECT_EQ(*first, 4);
 }
 
 TEST(Rename, TracksRawDependencies)
@@ -103,12 +189,141 @@ TEST(Rob, CapacityAndStability)
                                                isa::NoReg, isa::NoReg,
                                                isa::NoReg, 0})));
     EXPECT_TRUE(rob.full());
-    // Pointers must stay valid across pop/push churn (deque property).
+    // Pointers must stay valid across pop/push churn (a slot is
+    // reused only after its instruction commits).
     rob.popHead();
     rob.push(makeInst(4, {isa::Opcode::NOP, isa::NoReg, isa::NoReg,
                           isa::NoReg, 0}));
     EXPECT_EQ(ptrs[1]->di.seq, 2u);
     EXPECT_EQ(ptrs[2]->di.seq, 3u);
+}
+
+TEST(Rob, WrapsAroundMoreThanThreeTimesCapacity)
+{
+    Rob rob(4);
+    SeqNum next = 1, oldest = 1;
+    // Fill, then keep the window between two and four entries deep
+    // while 16 instructions pass through four slots.
+    while (next <= 16) {
+        while (!rob.full() && next <= 16)
+            rob.push(makeInst(next++, {isa::Opcode::NOP, isa::NoReg,
+                                       isa::NoReg, isa::NoReg, 0}));
+        ASSERT_EQ(rob.head()->di.seq, oldest);
+        for (SeqNum seq = oldest; seq < next; ++seq) {
+            ASSERT_NE(rob.find(seq), nullptr) << seq;
+            EXPECT_EQ(rob.find(seq)->di.seq, seq);
+        }
+        rob.popHead();
+        rob.popHead();
+        oldest += 2;
+    }
+    EXPECT_EQ(rob.dispatched.value(), 16u);
+    EXPECT_EQ(rob.committed.value(), oldest - 1);
+    std::vector<SeqNum> window;
+    for (const TimingInst &inst : rob)
+        window.push_back(inst.di.seq);
+    EXPECT_EQ(window, (std::vector<SeqNum>{15, 16}));
+}
+
+TEST(Rob, InWindowPointersStayStableAcrossWrap)
+{
+    Rob rob(3);
+    auto nop = [](SeqNum seq) {
+        return makeInst(seq, {isa::Opcode::NOP, isa::NoReg, isa::NoReg,
+                              isa::NoReg, 0});
+    };
+    rob.push(nop(1));
+    TimingInst *b = rob.push(nop(2));
+    TimingInst *c = rob.push(nop(3));
+    b->issueCycle = 22;
+    c->issueCycle = 33;
+    rob.popHead();
+    TimingInst *d = rob.push(nop(4));  // wraps into seq 1's slot
+    rob.popHead();
+    TimingInst *e = rob.push(nop(5));  // wraps into seq 2's slot
+    // Still-in-window entries were not moved by the churn.
+    EXPECT_EQ(rob.find(3), c);
+    EXPECT_EQ(c->di.seq, 3u);
+    EXPECT_EQ(c->issueCycle, 33u);
+    EXPECT_EQ(rob.find(4), d);
+    EXPECT_EQ(rob.find(5), e);
+    // Seq 2 committed, and its slot now belongs to seq 5.
+    EXPECT_EQ(rob.find(2), nullptr);
+    EXPECT_EQ(e, b);
+}
+
+TEST(Rob, FindAndProducerDoneByWindowPosition)
+{
+    Rob rob(4);
+    std::vector<TimingInst *> pushed;
+    for (SeqNum seq = 5; seq <= 8; ++seq)
+        pushed.push_back(
+            rob.push(makeInst(seq, {isa::Opcode::ADD, 5, 1, 2, 0})));
+    rob.popHead();  // seq 5 commits; seq 9 wraps into its slot
+    TimingInst *nine = rob.push(makeInst(9, {isa::Opcode::ADD, 5, 1, 2, 0}));
+    EXPECT_EQ(rob.find(9), nine);
+    EXPECT_EQ(rob.find(6), pushed[1]);
+
+    // Committed producers are absent and count as done.
+    EXPECT_EQ(rob.find(5), nullptr);
+    EXPECT_EQ(rob.find(1), nullptr);
+    EXPECT_TRUE(rob.producerDone(5, 0));
+    // Younger-than-window (not yet dispatched) sequence numbers are
+    // absent too.
+    EXPECT_EQ(rob.find(10), nullptr);
+    EXPECT_TRUE(rob.producerDone(10, 0));
+    // Seq 0 means "no in-flight producer".
+    EXPECT_EQ(rob.find(0), nullptr);
+    EXPECT_TRUE(rob.producerDone(0, 0));
+
+    // An in-window producer is done once issued and its cycle reached.
+    TimingInst *seven = pushed[2];
+    ASSERT_EQ(rob.find(7), seven);
+    EXPECT_FALSE(rob.producerDone(7, 1000));
+    seven->done = true;
+    seven->doneCycle = 40;
+    EXPECT_FALSE(rob.producerDone(7, 39));
+    EXPECT_TRUE(rob.producerDone(7, 40));
+}
+
+TEST(Rob, OperandsReadyCycleWaitsForEveryIssuedProducer)
+{
+    Rob rob(8);
+    TimingInst *p1 = rob.push(makeInst(1, {isa::Opcode::ADD, 5, 1, 2, 0}));
+    TimingInst *p2 = rob.push(makeInst(2, {isa::Opcode::ADD, 6, 1, 2, 0}));
+    TimingInst consumer = makeInst(3, {isa::Opcode::ADD, 7, 5, 6, 0});
+    consumer.srcProducer[0] = 1;
+    consumer.srcProducer[1] = 2;
+    TimingInst store = makeInst(4, {isa::Opcode::SD, isa::NoReg, 5, 6, 0});
+    store.srcProducer[0] = 1;  // address
+    store.srcProducer[1] = 2;  // data
+
+    EXPECT_EQ(rob.operandsReadyCycle(consumer), TimingInst::NotReady);
+    p1->done = true;
+    p1->doneCycle = 12;
+    // One source still unissued; the store's AGU needs only [0].
+    EXPECT_EQ(rob.operandsReadyCycle(consumer), TimingInst::NotReady);
+    EXPECT_EQ(rob.operandsReadyCycle(store), 12u);
+    p2->done = true;
+    p2->doneCycle = 9;
+    EXPECT_EQ(rob.operandsReadyCycle(consumer), 12u);  // the later one
+
+    // Committed producers and seq 0 impose nothing.
+    rob.popHead();
+    rob.popHead();
+    EXPECT_EQ(rob.operandsReadyCycle(consumer), 0u);
+    TimingInst free_op = makeInst(5, {isa::Opcode::ADD, 8, 1, 2, 0});
+    EXPECT_EQ(rob.operandsReadyCycle(free_op), 0u);
+}
+
+TEST(RobDeathTest, NonContiguousPushPanics)
+{
+    Rob rob(4);
+    rob.push(makeInst(1, {isa::Opcode::NOP, isa::NoReg, isa::NoReg,
+                          isa::NoReg, 0}));
+    EXPECT_DEATH(rob.push(makeInst(3, {isa::Opcode::NOP, isa::NoReg,
+                                       isa::NoReg, isa::NoReg, 0})),
+                 "contiguous");
 }
 
 TEST(IssueQueueTest, AgeOrderAndReaping)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Load/store-queue unit tests: capacity, conservative disambiguation,
- * forwarding decisions (full / partial / data-not-ready), and in-order
- * commit bookkeeping — driven directly, without the whole core.
+ * Load/store-queue unit tests: capacity, conservative disambiguation
+ * (and the oldest-unissued-store position behind it), forwarding
+ * decisions (full / partial / data-not-ready), and in-order commit
+ * bookkeeping — driven directly, without the whole core.
  */
 
 #include <gtest/gtest.h>
@@ -89,6 +90,86 @@ TEST(LsqUnit, LoadWaitsForOlderStoreAddress)
 
     LsqRig::aguDone(store, 0);
     EXPECT_TRUE(rig.lsq.tryIssueLoad(load, rig.dcache, rig.rob, 1));
+}
+
+TEST(LsqUnit, StoresIssuingYoungestFirstKeepTheStall)
+{
+    LsqRig rig;
+    TimingInst *s1 = rig.addMem(1, true, 0x2000, 8);
+    TimingInst *s2 = rig.addMem(2, true, 0x2100, 8);
+    TimingInst *s3 = rig.addMem(3, true, 0x2200, 8);
+    TimingInst *load = rig.addMem(4, false, 0x1000, 8);
+    rig.dcache.beginCycle(0);
+
+    // Every retry while an older store's address is unknown counts
+    // once, whichever older store it is.
+    EXPECT_FALSE(rig.lsq.tryIssueLoad(load, rig.dcache, rig.rob, 0));
+    EXPECT_EQ(rig.lsq.addrUnknownStalls.value(), 1u);
+    LsqRig::aguDone(s3, 0);
+    EXPECT_FALSE(rig.lsq.tryIssueLoad(load, rig.dcache, rig.rob, 1));
+    EXPECT_EQ(rig.lsq.addrUnknownStalls.value(), 2u);
+    LsqRig::aguDone(s2, 1);
+    EXPECT_FALSE(rig.lsq.tryIssueLoad(load, rig.dcache, rig.rob, 2));
+    EXPECT_EQ(rig.lsq.addrUnknownStalls.value(), 3u);
+
+    // Only the oldest store issuing releases the load.
+    LsqRig::aguDone(s1, 2);
+    EXPECT_TRUE(rig.lsq.tryIssueLoad(load, rig.dcache, rig.rob, 3));
+    EXPECT_EQ(rig.lsq.addrUnknownStalls.value(), 3u);
+    EXPECT_EQ(rig.lsq.partialStalls.value(), 0u);
+}
+
+TEST(LsqUnit, CommitStoreKeepsTheOldestUnissuedPosition)
+{
+    LsqRig rig;
+    TimingInst *s1 = rig.addMem(1, true, 0x2000, 8);
+    TimingInst *s2 = rig.addMem(2, true, 0x2100, 8);
+    TimingInst *l3 = rig.addMem(3, false, 0x1000, 8);
+    LsqRig::aguDone(s1, 0);
+    rig.dcache.beginCycle(0);
+
+    // s2 (SQ position 1) blocks; the commit of s1 moves it to the head.
+    EXPECT_FALSE(rig.lsq.tryIssueLoad(l3, rig.dcache, rig.rob, 0));
+    rig.lsq.commitStore(s1);
+    EXPECT_FALSE(rig.lsq.tryIssueLoad(l3, rig.dcache, rig.rob, 1));
+    EXPECT_EQ(rig.lsq.addrUnknownStalls.value(), 2u);
+
+    // Once every store has issued, a store dispatched later blocks
+    // only the loads younger than it.
+    LsqRig::aguDone(s2, 1);
+    EXPECT_TRUE(rig.lsq.tryIssueLoad(l3, rig.dcache, rig.rob, 2));
+    rig.addMem(4, true, 0x2200, 8);
+    TimingInst *l5 = rig.addMem(5, false, 0x1100, 8);
+    TimingInst *l6 = rig.addMem(6, false, 0x1200, 8);
+    rig.dcache.beginCycle(3);
+    EXPECT_FALSE(rig.lsq.tryIssueLoad(l5, rig.dcache, rig.rob, 3));
+    EXPECT_EQ(rig.lsq.addrUnknownStalls.value(), 3u);
+    rig.lsq.commitStore(s2);
+    EXPECT_FALSE(rig.lsq.tryIssueLoad(l6, rig.dcache, rig.rob, 3));
+    EXPECT_EQ(rig.lsq.addrUnknownStalls.value(), 4u);
+}
+
+TEST(LsqUnit, ClearResetsTheOldestUnissuedPosition)
+{
+    LsqRig rig;
+    TimingInst *s1 = rig.addMem(1, true, 0x2000, 8);
+    TimingInst *s2 = rig.addMem(2, true, 0x2100, 8);
+    TimingInst *l3 = rig.addMem(3, false, 0x1000, 8);
+    LsqRig::aguDone(s1, 0);
+    LsqRig::aguDone(s2, 0);
+    rig.dcache.beginCycle(0);
+    // Advances the position past both issued stores.
+    EXPECT_TRUE(rig.lsq.tryIssueLoad(l3, rig.dcache, rig.rob, 0));
+
+    // A phase-boundary squash, then a fresh window: its one unissued
+    // store sits at SQ position 0 and must block the load behind it.
+    rig.lsq.clear();
+    rig.rob.clear();
+    rig.addMem(100, true, 0x2000, 8);
+    TimingInst *load = rig.addMem(101, false, 0x1000, 8);
+    rig.dcache.beginCycle(1);
+    EXPECT_FALSE(rig.lsq.tryIssueLoad(load, rig.dcache, rig.rob, 1));
+    EXPECT_EQ(rig.lsq.addrUnknownStalls.value(), 1u);
 }
 
 TEST(LsqUnit, YoungerStoresDoNotBlockOlderLoads)
