@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "sim/config_file.hh"
 #include "util/bits.hh"
 #include "util/error.hh"
 
@@ -260,9 +261,8 @@ SimConfig::describe() const
     line("lsq (ld/st)", std::to_string(core.lsq.loadEntries) + " / " +
                             std::to_string(core.lsq.storeEntries));
     line("branch predictor",
-         core.bpred.kind == cpu::PredictorKind::GShare
-             ? "gshare " + std::to_string(core.bpred.tableEntries)
-             : "bimodal " + std::to_string(core.bpred.tableEntries));
+         knobValue(*this, "bpred", "kind") + " " +
+             std::to_string(core.bpred.tableEntries));
     line("l1i", std::to_string(core.fetch.icache.sizeBytes / 1024) +
                     " KiB, " + std::to_string(core.fetch.icache.assoc) +
                     "-way, " +

@@ -16,8 +16,12 @@
  *   line_buffers = 4
  *
  * Unknown sections or keys are hard errors (catching typos beats
- * silently ignoring them); values are validated per key.  See
- * `docs/machine_files.md` for the full key list.
+ * silently ignoring them); values are validated per key.  Every key is
+ * declared once, as one row of a table in config_file.cc naming its
+ * section, key, and codec (how the field is read and written);
+ * parseConfig() and toMachineFile() both walk that table, and its row
+ * order is the emission order.  See `docs/machine_files.md` for the
+ * full key list.
  */
 
 #ifndef CPE_SIM_CONFIG_FILE_HH
@@ -51,6 +55,15 @@ ConfigParseResult loadConfigFile(const std::string &path);
  * to archive next to a run's results.
  */
 std::string toMachineFile(const SimConfig &config);
+
+/**
+ * The machine-file spelling of one knob of @p config, e.g.
+ * knobValue(config, "bpred", "kind") == "gshare" — how
+ * SimConfig::describe() names enum values without its own copy of
+ * them.  Throws ConfigError for a (section, key) the table lacks.
+ */
+std::string knobValue(const SimConfig &config, const std::string &section,
+                      const std::string &key);
 
 /**
  * The canonical form of machine-file text: parse @p source and
