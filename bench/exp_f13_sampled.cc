@@ -91,7 +91,7 @@ run(exp::Context &ctx)
     // would scramble.  Run serially, full first (it also pays the
     // one-time functional capture both columns replay).
     auto configs = exp::suiteConfigs(
-        variants(), {"compress", "stencil", "copy"});
+        variants(), {"compress", "stencil", "copy"}, ctx.run());
 
     TextTable table;
     table.addHeader({"workload", "full IPC", "sampled IPC", "err%",

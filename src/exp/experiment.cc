@@ -12,45 +12,6 @@ namespace cpe::exp {
 
 namespace {
 
-/** The installed fault plan: (workload, kind) pairs.  Set before a
- *  sweep starts, never during one (same discipline as
- *  SweepRunner::setDefaultJobs). */
-std::vector<std::pair<std::string, std::string>> faultPlan;
-
-/** The installed observability settings (see setObservability). */
-obs::TraceSink *obsSink = nullptr;
-Cycle obsSampleCycles = 0;
-unsigned obsProfileTop = 0;
-
-/** The installed functional-trace cache (see setTraceCache). */
-sim::TraceCache *traceCache = nullptr;
-
-/** The installed sampled-simulation parameters (see setSampling). */
-sim::SampleParams sampleParams;
-
-void
-applyFaults(sim::SimConfig &config)
-{
-    for (const auto &[workload, kind] : faultPlan) {
-        if (config.workloadName != workload)
-            continue;
-        if (kind == "config") {
-            // Zero associativity: caught by SimConfig::validate()
-            // before the machine is built.
-            config.core.dcache.cache.assoc = 0;
-        } else if (kind == "hang") {
-            // A watchdog this tight trips during pipeline fill: the
-            // run dies with a ProgressError carrying a snapshot, the
-            // way a genuinely wedged machine would.
-            config.core.noCommitCycleLimit = 2;
-        }
-    }
-}
-
-} // namespace
-
-namespace {
-
 /**
  * The functional work one grid saved via the trace cache, as the
  * delta of the cache counters across the grid's sweep.
@@ -94,67 +55,44 @@ printReplaySummary(std::ostream &out, const std::string &experiment_id,
 }
 
 ReplaySavings
-savingsSince(const sim::TraceCache::Stats &before)
+savingsSince(sim::TraceCache &cache, const sim::TraceCache::Stats &before)
 {
-    sim::TraceCache::Stats now = traceCache->stats();
+    sim::TraceCache::Stats now = cache.stats();
     ReplaySavings delta;
     delta.captures = now.captures - before.captures;
     delta.diskLoads = now.diskLoads - before.diskLoads;
     delta.replays = (now.replays - before.replays) + delta.diskLoads;
     delta.instsSkipped = now.instsSkipped - before.instsSkipped;
     delta.spillFailures = now.spillFailures - before.spillFailures;
-    delta.degraded = traceCache->degraded();
+    delta.degraded = cache.degraded();
     return delta;
+}
+
+void
+applyFaults(const RunContext &run, sim::SimConfig &config)
+{
+    for (const auto &[workload, kind] : run.faultPlan) {
+        if (config.workloadName != workload)
+            continue;
+        if (kind == "config") {
+            // Zero associativity: caught by SimConfig::validate()
+            // before the machine is built.
+            config.core.dcache.cache.assoc = 0;
+        } else if (kind == "hang") {
+            // A watchdog this tight trips during pipeline fill: the
+            // run dies with a ProgressError carrying a snapshot, the
+            // way a genuinely wedged machine would.
+            config.core.noCommitCycleLimit = 2;
+        }
+    }
 }
 
 } // namespace
 
-void
-setFaultInjection(std::vector<std::pair<std::string, std::string>> plan)
-{
-    // Reject unknown kinds here, at installation time, with a
-    // structured error — not deep in a sweep where a typo would
-    // silently inject nothing.
-    for (const auto &[workload, kind] : plan)
-        if (kind != "config" && kind != "hang")
-            throw ConfigError("unknown fault-injection kind '" + kind +
-                              "' for workload '" + workload +
-                              "' (valid kinds: config, hang)");
-    faultPlan = std::move(plan);
-}
-
-void
-setObservability(obs::TraceSink *sink, Cycle sample_cycles,
-                 unsigned profile_top)
-{
-    obsSink = sink;
-    obsSampleCycles = sample_cycles;
-    obsProfileTop = profile_top;
-}
-
-void
-setTraceCache(sim::TraceCache *cache)
-{
-    traceCache = cache;
-}
-
-void
-setSampling(const sim::SampleParams &params)
-{
-    sampleParams = params;
-}
-
-std::vector<sim::SimConfig>
-suiteConfigs(const std::vector<Variant> &variants,
-             const std::vector<std::string> &workloads)
-{
-    return suiteConfigs(variants, workloads, sim::SimConfig::defaults());
-}
-
 std::vector<sim::SimConfig>
 suiteConfigs(const std::vector<Variant> &variants,
              const std::vector<std::string> &workloads,
-             const sim::SimConfig &base)
+             const RunContext &run, const sim::SimConfig &base)
 {
     std::vector<sim::SimConfig> configs;
     configs.reserve(workloads.size() * variants.size());
@@ -167,17 +105,16 @@ suiteConfigs(const std::vector<Variant> &variants,
             config.label = variant.label;
             if (variant.tweak)
                 variant.tweak(config);
-            if (obsSink)
-                config.obs.traceSink = obsSink;
-            if (obsSampleCycles)
-                config.obs.sampleCycles = obsSampleCycles;
-            if (obsProfileTop)
-                config.obs.profileTop = obsProfileTop;
-            if (sampleParams.enabled())
-                config.sample = sampleParams;
-            config.traceCache = traceCache;
-            if (!faultPlan.empty())
-                applyFaults(config);
+            if (run.traceSink)
+                config.obs.traceSink = run.traceSink;
+            if (run.sampleCycles)
+                config.obs.sampleCycles = run.sampleCycles;
+            if (run.profileTop)
+                config.obs.profileTop = run.profileTop;
+            if (run.sample.enabled())
+                config.sample = run.sample;
+            config.traceCache = run.traceCache;
+            applyFaults(run, config);
             configs.push_back(std::move(config));
         }
     }
@@ -185,9 +122,11 @@ suiteConfigs(const std::vector<Variant> &variants,
 }
 
 Context::Context(const Experiment &experiment, std::ostream &out,
-                 std::vector<std::string> workloads, bool keep_going)
+                 RunContext run, std::vector<std::string> workloads,
+                 bool keep_going)
     : experiment_(experiment),
       out_(out),
+      run_(std::move(run)),
       suite_(workloads.empty()
                  ? workload::WorkloadRegistry::evaluationSuite()
                  : std::move(workloads)),
@@ -207,18 +146,19 @@ Context::runGrid(const std::string &key,
                  const std::string &baseline)
 {
     VerboseScope quiet(false);
-    auto configs =
-        suiteConfigs(variants, workloads.empty() ? suite_ : workloads);
+    auto configs = suiteConfigs(
+        variants, workloads.empty() ? suite_ : workloads, run_);
     // Replay accounting: the delta of the shared cache's counters
     // across this grid is exactly the functional work this grid saved.
+    sim::TraceCache *cache = run_.traceCache;
     sim::TraceCache::Stats cache_before;
-    if (traceCache)
-        cache_before = traceCache->stats();
+    if (cache)
+        cache_before = cache->stats();
     if (!keepGoing_) {
         sim::ResultGrid grid = sim::SweepRunner().runGrid(configs);
         Json grid_json = grid.toJson(baseline);
-        if (traceCache) {
-            ReplaySavings saved = savingsSince(cache_before);
+        if (cache) {
+            ReplaySavings saved = savingsSince(*cache, cache_before);
             grid_json["replay"] = saved.toJson();
             printReplaySummary(out_, experiment_.id, key, saved);
         }
@@ -255,8 +195,8 @@ Context::runGrid(const std::string &key,
     }
     if (errors.items().size())
         grid_json["errors"] = std::move(errors);
-    if (traceCache) {
-        ReplaySavings saved = savingsSince(cache_before);
+    if (cache) {
+        ReplaySavings saved = savingsSince(*cache, cache_before);
         grid_json["replay"] = saved.toJson();
         printReplaySummary(out_, experiment_.id, key, saved);
     }

@@ -39,72 +39,65 @@ struct Variant
 };
 
 /**
- * Expand (workloads x variants) into the flat config list a grid run
- * executes; exposed so tests, the regression gate, and the speed
- * bench can reuse the exact grid shape.  Any installed fault-injection
- * plan (setFaultInjection) is applied to matching configs.
+ * What one cpe_eval invocation layers onto every config it builds:
+ * the CLI's trace sink, stats sampling, profiling, shared trace cache,
+ * sampled-simulation parameters, and fault plan.  evalMain builds one
+ * from its flags and hands it to every Context and to the --validate /
+ * --check paths; a default-constructed value adds nothing.  It points
+ * at the sink and the cache without owning them, so whoever builds it
+ * keeps both alive while configs expanded from it run.
  */
-std::vector<sim::SimConfig>
-suiteConfigs(const std::vector<Variant> &variants,
-             const std::vector<std::string> &workloads);
+struct RunContext
+{
+    /**
+     * Event-trace sink (cpe_eval --trace; null = off), shareable
+     * across the sweep workers — each run claims its own run id.
+     */
+    obs::TraceSink *traceSink = nullptr;
+    /** Stats-sampling interval (--sample-cycles; 0 = off). */
+    Cycle sampleCycles = 0;
+    /** Stall-attribution top-N (--profile[=N]; 0 = off). */
+    unsigned profileTop = 0;
+    /**
+     * Execute-once/replay-many cache (on unless --no-replay; null =
+     * live functional runs): each grid executes the functional model
+     * once per (workload, functional-knobs) group and replays the
+     * shared capture through every timing variant.  Context::runGrid
+     * reports the functional work saved per grid — one summary line
+     * plus a "replay" member in the grid's JSON record.
+     */
+    sim::TraceCache *traceCache = nullptr;
+    /**
+     * Sampled simulation for every run (--sample-mode and friends;
+     * mode off = off), so a whole evaluation can be re-run under
+     * SMARTS-style sampling without touching the experiment bodies.
+     */
+    sim::SampleParams sample;
+    /**
+     * Fault injection for exercising the fault-isolation machinery
+     * end to end (--fault-inject, the keep-going smoke test).  Each
+     * entry is (workload, kind): kind "config" zeroes the L1D
+     * associativity (a validate()-caught geometry error), kind "hang"
+     * drops the no-commit watchdog to a handful of cycles (a
+     * guaranteed ProgressError with a pipeline snapshot).  A testing
+     * hook, not an evaluation feature; evalMain rejects unknown kinds
+     * with a ConfigError naming the valid ones.
+     */
+    std::vector<std::pair<std::string, std::string>> faultPlan;
+};
 
 /**
- * Same expansion, but each config starts from @p base instead of
- * SimConfig::defaults() — how cpe_serve applies a client-supplied
- * machine file underneath an experiment's variant grid.
+ * Expand (workloads x variants) into the flat config list a grid run
+ * executes, each config starting from @p base (how cpe_serve applies
+ * a client-supplied machine file underneath an experiment's variant
+ * grid) with @p run layered on top; exposed so tests, the regression
+ * gate, and the speed bench can reuse the exact grid shape.
  */
 std::vector<sim::SimConfig>
 suiteConfigs(const std::vector<Variant> &variants,
              const std::vector<std::string> &workloads,
-             const sim::SimConfig &base);
-
-/**
- * Fault-injection hook for exercising the fault-isolation machinery
- * end to end (cpe_eval --fault-inject, the keep-going smoke test).
- * Each plan entry is (workload, kind): configs for that workload are
- * sabotaged in suiteConfigs() — kind "config" zeroes the L1D
- * associativity (a validate()-caught geometry error), kind "hang"
- * drops the no-commit watchdog to a handful of cycles (a guaranteed
- * ProgressError with a pipeline snapshot).  Pass an empty vector to
- * clear.  Unknown kinds are rejected here, at installation time, with
- * a ConfigError naming the valid ones.  A testing hook, not an
- * evaluation feature.
- */
-void setFaultInjection(
-    std::vector<std::pair<std::string, std::string>> plan);
-
-/**
- * Observability hook (cpe_eval --trace / --sample-cycles): every
- * config built by suiteConfigs() gets this trace sink (shareable
- * across the sweep workers — each run claims its own run id) and
- * sampling interval, and — with @p profile_top nonzero (cpe_eval
- * --profile[=N]) — stall-attribution profiling with top-N reporting.
- * Pass (nullptr, 0, 0) to clear.  Like the fault plan, set before a
- * sweep starts, never during one.
- */
-void setObservability(obs::TraceSink *sink, Cycle sample_cycles,
-                      unsigned profile_top = 0);
-
-/**
- * Execute-once/replay-many hook (installed by cpe_eval unless
- * --no-replay): every config built by suiteConfigs() consults
- * @p cache, so each grid executes the functional model once per
- * (workload, functional-knobs) group and replays the shared capture
- * through every timing variant.  Context::runGrid reports the
- * functional work saved per grid — one summary line plus a "replay"
- * member in the grid's JSON record.  Pass nullptr to clear; set
- * before a sweep starts, never during one.
- */
-void setTraceCache(sim::TraceCache *cache);
-
-/**
- * Sampled-simulation hook (cpe_eval --sample-mode and friends): every
- * config built by suiteConfigs() gets these [sample] parameters, so a
- * whole evaluation can be re-run under SMARTS-style sampling without
- * touching the experiment bodies.  Pass a default-constructed (mode
- * off) value to clear.  Set before a sweep starts, never during one.
- */
-void setSampling(const sim::SampleParams &params);
+             const RunContext &run,
+             const sim::SimConfig &base = sim::SimConfig::defaults());
 
 class Context;
 
@@ -159,17 +152,22 @@ class Context
   public:
     /**
      * @param out where tables render (a null sink in --format json).
+     * @param run what the invocation layers onto every grid's configs.
      * @param workloads non-empty to override the evaluation suite.
      * @param keep_going fault-isolating mode: a failing run becomes a
      *        structured "errors" record in the JSON document instead
      *        of an exception ending the experiment.
      */
     Context(const Experiment &experiment, std::ostream &out,
-            std::vector<std::string> workloads = {},
+            RunContext run, std::vector<std::string> workloads = {},
             bool keep_going = false);
 
     std::ostream &out() { return out_; }
     const Experiment &experiment() const { return experiment_; }
+
+    /** What the invocation layers onto configs (for bodies that
+     *  expand their own grids with suiteConfigs, like F13). */
+    const RunContext &run() const { return run_; }
 
     /** The default workload suite (the --workloads override if set). */
     const std::vector<std::string> &suite() const { return suite_; }
@@ -233,6 +231,7 @@ class Context
   private:
     const Experiment &experiment_;
     std::ostream &out_;
+    RunContext run_;
     std::vector<std::string> suite_;
     bool keepGoing_ = false;
     unsigned failedRuns_ = 0;

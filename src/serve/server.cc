@@ -582,7 +582,9 @@ Server::expandRequest(const SweepRequest &request)
             workloads = experiment.workloads.empty()
                             ? workload::WorkloadRegistry::evaluationSuite()
                             : experiment.workloads;
-        return exp::suiteConfigs(experiment.variants(), workloads, base);
+        // An empty RunContext: the server adds nothing to a run.
+        return exp::suiteConfigs(experiment.variants(), workloads, {},
+                                 base);
     }
 
     // Machine-only request: one run per requested workload (or the

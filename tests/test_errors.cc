@@ -270,9 +270,7 @@ evalWith(std::vector<std::string> args)
     std::vector<char *> argv;
     for (auto &arg : args)
         argv.push_back(arg.data());
-    int rc = exp::evalMain(static_cast<int>(argv.size()), argv.data());
-    exp::setFaultInjection({});  // never leak a plan into other tests
-    return rc;
+    return exp::evalMain(static_cast<int>(argv.size()), argv.data());
 }
 
 TEST(EvalValidate, CleanExperimentPasses)
@@ -332,6 +330,34 @@ TEST(EvalExitCodes, SuccessIsZero)
     EXPECT_EQ(evalWith({"--validate", "--run", "T3", "--workloads",
                         "crc"}),
               0);
+}
+
+TEST(EvalExitCodes, EvalMainLeavesNoRunStateBehind)
+{
+    // evalMain owns its trace cache and trace sink and hands them to
+    // its runs through a RunContext; once it returns, configs expanded
+    // anywhere else in the process must point at neither (they would
+    // dangle) and must still run.
+    VerboseScope quiet(false);
+    const auto trace = std::filesystem::temp_directory_path() /
+                       "cpe_eval_no_leak_trace.jsonl";
+    const exp::Experiment &t3 =
+        exp::ExperimentRegistry::instance().get("T3");
+    for (const std::vector<std::string> &extra :
+         {std::vector<std::string>{},
+          std::vector<std::string>{"--trace", trace.string()}}) {
+        std::vector<std::string> args = {"--validate", "--run", "T3",
+                                         "--workloads", "crc"};
+        args.insert(args.end(), extra.begin(), extra.end());
+        ASSERT_EQ(evalWith(args), 0);
+        auto configs = exp::suiteConfigs(t3.variants(), {"crc"}, {});
+        for (const auto &config : configs) {
+            EXPECT_EQ(config.traceCache, nullptr) << config.tag();
+            EXPECT_EQ(config.obs.traceSink, nullptr) << config.tag();
+        }
+        EXPECT_GT(sim::simulate(configs.front()).insts, 0u);
+    }
+    std::filesystem::remove(trace);
 }
 
 TEST(EvalExitCodes, KeepGoingRunFailureIsOne)

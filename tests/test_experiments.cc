@@ -76,8 +76,7 @@ TEST(ExperimentRegistry, EveryExperimentHasAWellFormedPrimaryGrid)
                 << "unknown workload " << name;
 
         // The grid expands into runnable configs for the gate.
-        auto configs =
-            suiteConfigs(variants, reducedSuite());
+        auto configs = suiteConfigs(variants, reducedSuite(), {});
         EXPECT_EQ(configs.size(),
                   variants.size() * reducedSuite().size());
     }
@@ -97,7 +96,7 @@ TEST(Experiments, ReducedF5RunProducesHeadline)
 {
     const Experiment &f5 = ExperimentRegistry::instance().get("F5");
     std::ostringstream out;
-    Context context(f5, out, reducedSuite());
+    Context context(f5, out, {}, reducedSuite());
     f5.run(context);
 
     // The rendered output still carries the paper's framing...

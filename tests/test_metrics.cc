@@ -353,7 +353,7 @@ f5Configs()
 {
     const exp::Experiment &f5 =
         exp::ExperimentRegistry::instance().get("F5");
-    return exp::suiteConfigs(f5.variants(), {"crc"});
+    return exp::suiteConfigs(f5.variants(), {"crc"}, {});
 }
 
 const std::string &

@@ -134,15 +134,15 @@ TEST(ReplayDifferential, F5GridMatchesLive)
         exp::ExperimentRegistry::instance().get("F5");
     const std::vector<std::string> workloads = {"copy"};
 
-    exp::setTraceCache(nullptr);
-    auto live_configs = exp::suiteConfigs(f5.variants(), workloads);
+    auto live_configs = exp::suiteConfigs(f5.variants(), workloads, {});
     std::string live =
         SweepRunner(1).runGrid(live_configs).toJson().dump(2);
 
     TraceCache cache;
-    exp::setTraceCache(&cache);
-    auto replay_configs = exp::suiteConfigs(f5.variants(), workloads);
-    exp::setTraceCache(nullptr);
+    exp::RunContext replay;
+    replay.traceCache = &cache;
+    auto replay_configs =
+        exp::suiteConfigs(f5.variants(), workloads, replay);
 
     std::string serial =
         SweepRunner(1).runGrid(replay_configs).toJson().dump(2);

@@ -41,7 +41,7 @@ f5Configs()
 {
     const exp::Experiment &f5 =
         exp::ExperimentRegistry::instance().get("F5");
-    return exp::suiteConfigs(f5.variants(), {"crc"});
+    return exp::suiteConfigs(f5.variants(), {"crc"}, {});
 }
 
 /** The direct (serverless) grid, simulated once per test binary. */
