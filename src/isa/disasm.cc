@@ -1,6 +1,6 @@
 #include "isa/disasm.hh"
 
-#include <sstream>
+#include <charconv>
 
 #include "isa/encoding.hh"
 
@@ -9,60 +9,76 @@ namespace cpe::isa {
 std::string
 disassemble(const Inst &inst, Addr pc)
 {
-    std::ostringstream out;
-    out << opcodeName(inst.op);
-    Opcode op = inst.op;
+    const Opcode op = inst.op;
+    std::string out = opcodeName(op);
 
-    auto target = [&](std::int64_t offset) -> std::string {
-        std::ostringstream t;
-        if (pc) {
-            t << "0x" << std::hex << (pc + static_cast<Addr>(offset));
-        } else {
-            t << offset;
-        }
-        return t.str();
+    // Each operand appends " " (the first) or ", " (the rest), then
+    // its text.
+    bool first = true;
+    auto next = [&]() -> std::string & {
+        out += first ? " " : ", ";
+        first = false;
+        return out;
+    };
+    auto reg = [&](RegIndex r) { next() += regName(r); };
+    auto imm = [&] { next() += std::to_string(inst.imm); };
+    auto address = [&] {  // imm(rs1)
+        imm();
+        out += '(';
+        out += regName(inst.rs1);
+        out += ')';
+    };
+    auto target = [&] {
+        if (!pc)
+            return imm();
+        char hex[16];
+        auto end = std::to_chars(hex, hex + sizeof(hex),
+                                 pc + static_cast<Addr>(inst.imm), 16);
+        next() += "0x";
+        out.append(hex, end.ptr);
     };
 
     switch (classOf(op)) {
       case InstClass::Load:
-        out << " " << regName(inst.rd) << ", " << inst.imm << "("
-            << regName(inst.rs1) << ")";
+        reg(inst.rd);
+        address();
         break;
       case InstClass::Store:
-        out << " " << regName(inst.rs2) << ", " << inst.imm << "("
-            << regName(inst.rs1) << ")";
+        reg(inst.rs2);
+        address();
         break;
       case InstClass::Branch:
-        out << " " << regName(inst.rs1) << ", " << regName(inst.rs2)
-            << ", " << target(inst.imm);
+        reg(inst.rs1);
+        reg(inst.rs2);
+        target();
         break;
       case InstClass::Jump:
-        if (op == Opcode::JAL) {
-            out << " " << regName(inst.rd) << ", " << target(inst.imm);
-        } else {
-            out << " " << regName(inst.rd) << ", " << inst.imm << "("
-                << regName(inst.rs1) << ")";
-        }
+        reg(inst.rd);
+        if (op == Opcode::JAL)
+            target();
+        else
+            address();
         break;
       case InstClass::System:
         break;  // mnemonic only
       default:
+        reg(inst.rd);
         if (op == Opcode::LUI) {
-            out << " " << regName(inst.rd) << ", " << inst.imm;
+            imm();
         } else if (op == Opcode::FNEG || op == Opcode::FCVT_I2F ||
                    op == Opcode::FCVT_F2I) {
             // Unary: rs2 is an encoding artifact (duplicates rs1).
-            out << " " << regName(inst.rd) << ", " << regName(inst.rs1);
+            reg(inst.rs1);
         } else if (isRFormat(op)) {
-            out << " " << regName(inst.rd) << ", " << regName(inst.rs1)
-                << ", " << regName(inst.rs2);
+            reg(inst.rs1);
+            reg(inst.rs2);
         } else {
-            out << " " << regName(inst.rd) << ", " << regName(inst.rs1)
-                << ", " << inst.imm;
+            reg(inst.rs1);
+            imm();
         }
         break;
     }
-    return out.str();
+    return out;
 }
 
 } // namespace cpe::isa
